@@ -35,21 +35,10 @@ fn bench_lcp_avoiding(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_all_pairs_vcg(c: &mut Criterion) {
-    let mut group = c.benchmark_group("expected_tables");
-    group.sample_size(10);
-    for n in [8usize, 16, 24] {
-        let inst = instance(n, 42);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &inst, |b, inst| {
-            b.iter(|| specfaith_fpss::pricing::expected_tables(&inst.topo, &inst.costs));
-        });
-    }
-    group.finish();
-}
-
 /// The cost of one reference-table derivation, cold cache vs the
 /// pre-`RouteCache` per-pair-query implementation — the within-cell half
-/// of the sweep speedup (the cross-cell half is the shared registry).
+/// of the sweep speedup (the cross-cell half is the sweep's shared
+/// baseline cache).
 fn bench_route_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("expected_tables_cold_cache_vs_per_query");
     group.sample_size(10);
@@ -59,7 +48,7 @@ fn bench_route_cache(c: &mut Criterion) {
             b.iter(|| {
                 let routes =
                     specfaith_graph::cache::RouteCache::new(inst.topo.clone(), inst.costs.clone());
-                specfaith_fpss::pricing::expected_tables_in(&routes)
+                specfaith_fpss::pricing::expected_tables(&routes)
             });
         });
         group.bench_with_input(BenchmarkId::new("per_query", n), &inst, |b, inst| {
@@ -73,7 +62,6 @@ criterion_group!(
     benches,
     bench_lcp_tree,
     bench_lcp_avoiding,
-    bench_all_pairs_vcg,
     bench_route_cache
 );
 criterion_main!(benches);

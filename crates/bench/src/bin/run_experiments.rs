@@ -92,7 +92,7 @@ fn e1_figure1_lcps() {
             entry.cost()
         );
     }
-    let routes = RouteCache::shared(&net.topology, &net.costs);
+    let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
     let xz = routes.path(net.x, net.z).expect("connected");
     let zd = routes.path(net.z, net.d).expect("connected");
     let bd = routes.path(net.b, net.d).expect("connected");
@@ -117,7 +117,7 @@ fn e2_example1_manipulation() {
         specfaith_fpss::naive::example1_sweep(&net.topology, &net.costs, &flows, net.c, 8)
     {
         let lied = net.costs.with_cost(net.c, Cost::new(declared));
-        let lied_routes = RouteCache::shared(&net.topology, &lied);
+        let lied_routes = RouteCache::new(net.topology.clone(), lied);
         let path = lied_routes.path(net.x, net.z).expect("biconnected");
         let via = if path.transit_nodes().contains(&net.c) {
             "X-D-C-Z"

@@ -113,11 +113,12 @@
 //! * `1` — gate failure: measured speedup fell below the committed
 //!   floor, the merged fingerprint diverged from the committed one, or
 //!   `--expect-reissued` saw fewer re-issued leases than promised.
-//! * `2` — usage, I/O, or malformed-input errors (bad flags, unreadable
-//!   or mismatched `--check` baselines, unparsable fragments, bind or
-//!   connect failures, a worker rejected at `hello`, a coordinator with
-//!   no workers). Distinct from `1` so CI can tell "the gate tripped"
-//!   from "the gate never ran".
+//! * `2` — usage, I/O, or malformed-input errors (bad flags, unreadable,
+//!   incomplete or mismatched `--check` baselines and fingerprint files —
+//!   a missing key is named, never skipped — unparsable fragments, bind
+//!   or connect failures, a worker rejected at `hello`, a coordinator
+//!   with no workers). Distinct from `1` so CI can tell "the gate
+//!   tripped" from "the gate never ran".
 //! * `3` — fragment merge conflict (missing/duplicate shards or cells,
 //!   cross-instance mixes, baseline disagreements), a lease exhausting
 //!   its retry budget, or a worker told `abort` by a failing
@@ -142,16 +143,17 @@
 //! traffic shape, not just caching.
 
 use specfaith::scenario::{
-    cell_seed, run_worker, CacheScope, Catalog, CoordAddr, CoordConfig, CoordError, CoordListener,
-    Coordinator, CostModel, FaultPlan, Mechanism, NetModel, ReferenceCheck, Scenario,
-    ScenarioBuilder, ShardSpec, StreamStatus, SweepFragment, TopologyEvent, TopologySource,
-    TrafficModel, WorkerConfig, WorkerError,
+    cell_seed, run_worker, Catalog, CoordAddr, CoordConfig, CoordError, CoordListener, Coordinator,
+    CostModel, FaultPlan, Json, Mechanism, NetModel, ReferenceCheck, Scenario, ScenarioBuilder,
+    ShardSpec, StreamStatus, SweepFragment, TopologyEvent, TopologySource, TrafficModel,
+    WorkerConfig, WorkerError,
 };
 use specfaith_bench::instance;
 use specfaith_core::id::NodeId;
 use specfaith_fpss::deviation::{standard_catalog, FullRecomputeFaithful, MisreportCost};
 use specfaith_fpss::pricing::{expected_tables_for, expected_tables_uncached_for};
 use specfaith_fpss::runner::{run_plain_uncached, PlainConfig};
+use specfaith_graph::cache::RouteCache;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -510,9 +512,8 @@ fn run_large(n: usize) -> (f64, String) {
         "sweep_bench[large]: cached arm — {} reference sources...",
         cached_sources.len()
     );
-    let scope = CacheScope::unbounded();
     let started = Instant::now();
-    let routes = scope.cache(topo, costs);
+    let routes = RouteCache::new(topo.clone(), costs.clone());
     for &src in &cached_sources {
         let _ = expected_tables_for(&routes, src);
     }
@@ -632,7 +633,6 @@ fn stream_preset(
             );
             cold_cfg.max_events = 1_000_000_000;
             cold_cfg.reference_check = reference.clone();
-            cold_cfg.routes = CacheScope::eager();
             let started = Instant::now();
             let cold = PlainRunState::checkpoint(
                 &cold_cfg,
@@ -736,34 +736,15 @@ fn run_stream() -> ((f64, f64), String) {
 /// stay within 20% of its committed baseline (same floor and exit codes
 /// as [`check_gate`], applied per preset).
 fn check_stream_gate(baseline_path: &str, speedups: (f64, f64)) -> ExitCode {
-    let baseline_json = match std::fs::read_to_string(baseline_path) {
-        Ok(json) => json,
-        Err(error) => {
-            eprintln!(
-                "sweep_bench: cannot read gate baseline {baseline_path}: {error}\n\
-                 sweep_bench: expected a committed baseline at that path; generate one on a \
-                 quiet machine with `sweep_bench --stream --out {baseline_path}` and commit it"
-            );
+    let baselines = match load_stream_baselines(baseline_path) {
+        Ok(baselines) => baselines,
+        Err(message) => {
+            eprintln!("sweep_bench: {message}");
             return ExitCode::from(2);
         }
     };
-    let baseline_mode = json_string(&baseline_json, "mode").unwrap_or_default();
-    if baseline_mode != "stream" {
-        eprintln!(
-            "sweep_bench: baseline {baseline_path} is mode {baseline_mode:?}, run is mode \
-             \"stream\""
-        );
-        return ExitCode::from(2);
-    }
     let mut failed = false;
-    for (key, measured) in [
-        (format!("n{N}_speedup"), speedups.0),
-        (format!("n{LARGE_N}_speedup"), speedups.1),
-    ] {
-        let Some(baseline) = json_number(&baseline_json, &key) else {
-            eprintln!("sweep_bench: baseline {baseline_path} has no \"{key}\" field");
-            return ExitCode::from(2);
-        };
+    for ((key, baseline), measured) in baselines.into_iter().zip([speedups.0, speedups.1]) {
         let floor = baseline * 0.8;
         if measured < floor {
             eprintln!(
@@ -785,27 +766,51 @@ fn check_stream_gate(baseline_path: &str, speedups: (f64, f64)) -> ExitCode {
     }
 }
 
-/// Pulls a numeric field out of a flat JSON object (the only JSON this
-/// workspace reads; no serde in the offline dependency set).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let value: String = rest[colon + 1..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    value.parse().ok()
+/// Loads the committed `--stream` baseline: `(key, speedup)` for the
+/// n=64 and n=1024 presets, after checking the file's mode.
+fn load_stream_baselines(baseline_path: &str) -> Result<[(String, f64); 2], String> {
+    let doc = read_baseline(baseline_path, "--stream ")?;
+    let baseline_mode = str_field(&doc, baseline_path, "mode")?;
+    if baseline_mode != "stream" {
+        return Err(format!(
+            "baseline {baseline_path} is mode {baseline_mode:?}, run is mode \"stream\""
+        ));
+    }
+    let key = |n: usize| format!("n{n}_speedup");
+    Ok([
+        (key(N), num_field(&doc, baseline_path, &key(N))?),
+        (key(LARGE_N), num_field(&doc, baseline_path, &key(LARGE_N))?),
+    ])
 }
 
-fn json_string(json: &str, key: &str) -> Option<String> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let open = rest[colon..].find('"')? + colon;
-    let close = rest[open + 1..].find('"')? + open + 1;
-    Some(rest[open + 1..close].to_string())
+/// Reads and parses a committed gate baseline. A missing or unreadable
+/// file is a setup defect; the message names the path and the
+/// `sweep_bench {flag}--out` run that regenerates it.
+fn read_baseline(baseline_path: &str, flag: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(baseline_path).map_err(|error| {
+        format!(
+            "cannot read gate baseline {baseline_path}: {error}\n\
+             sweep_bench: expected a committed baseline at that path; generate one on a quiet \
+             machine with `sweep_bench {flag}--out {baseline_path}` and commit it"
+        )
+    })?;
+    Json::parse(&text).map_err(|error| format!("baseline {baseline_path} is not JSON: {error}"))
+}
+
+/// The string under `key` in a committed file, failing closed: a
+/// missing key or a non-string value names the file and the key.
+fn str_field<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
+    doc.get(key)
+        .and_then(|value| value.as_str(key))
+        .map_err(|error| format!("{path}: {error}"))
+}
+
+/// The number under `key` in a committed file, failing closed like
+/// [`str_field`].
+fn num_field(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
+    doc.get(key)
+        .and_then(|value| value.as_f64(key))
+        .map_err(|error| format!("{path}: {error}"))
 }
 
 fn main() -> ExitCode {
@@ -851,7 +856,7 @@ fn main() -> ExitCode {
         }
         println!("sweep_bench[large]: wrote {out}");
         return match args.check {
-            Some(baseline_path) => check_gate(&baseline_path, mode, n, speedup),
+            Some(baseline_path) => check_gate(&baseline_path, mode, None, n, speedup),
             None => ExitCode::SUCCESS,
         };
     }
@@ -993,7 +998,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::SUCCESS;
         }
-        return check_gate(&baseline_path, mode, N, speedup);
+        return check_gate(&baseline_path, mode, Some(&args.net), N, speedup);
     }
     ExitCode::SUCCESS
 }
@@ -1165,30 +1170,10 @@ fn gate_fingerprint(
     instance: &str,
     fingerprint: &str,
 ) -> Result<(), ExitCode> {
-    let expected_json = match std::fs::read_to_string(expected_path) {
-        Ok(json) => json,
-        Err(error) => {
-            eprintln!(
-                "sweep_bench: cannot read fingerprint baseline {expected_path}: {error}\n\
-                 sweep_bench: expected a committed fingerprint file at that path; run the \
-                 full shard set through --merge once and commit its \"fingerprint\" value"
-            );
-            return Err(ExitCode::from(2));
-        }
-    };
-    if let Some(expected_instance) = json_string(&expected_json, "instance") {
-        if expected_instance != instance {
-            eprintln!(
-                "sweep_bench: fingerprint baseline {expected_path} pins instance \
-                 {expected_instance:?}, but this run swept {instance:?}"
-            );
-            return Err(ExitCode::from(2));
-        }
-    }
-    let Some(expected) = json_string(&expected_json, "fingerprint") else {
-        eprintln!("sweep_bench: fingerprint baseline {expected_path} has no \"fingerprint\" field");
-        return Err(ExitCode::from(2));
-    };
+    let expected = load_fingerprint(expected_path, instance).map_err(|message| {
+        eprintln!("sweep_bench: {message}");
+        ExitCode::from(2)
+    })?;
     if expected != fingerprint {
         eprintln!(
             "sweep_bench: FINGERPRINT MISMATCH — merged report is {fingerprint}, committed \
@@ -1199,6 +1184,30 @@ fn gate_fingerprint(
     }
     println!("sweep_bench: fingerprint matches the committed baseline ({expected})");
     Ok(())
+}
+
+/// Loads a committed fingerprint file and returns the fingerprint it
+/// pins, after checking that it names the grid `instance`. A missing
+/// file, a missing `instance` or `fingerprint` key, or another grid's
+/// file is a setup defect, never a pass.
+fn load_fingerprint(expected_path: &str, instance: &str) -> Result<String, String> {
+    let text = std::fs::read_to_string(expected_path).map_err(|error| {
+        format!(
+            "cannot read fingerprint baseline {expected_path}: {error}\n\
+             sweep_bench: expected a committed fingerprint file at that path; run the \
+             full shard set through --merge once and commit its \"fingerprint\" value"
+        )
+    })?;
+    let doc = Json::parse(&text)
+        .map_err(|error| format!("fingerprint baseline {expected_path} is not JSON: {error}"))?;
+    let expected_instance = str_field(&doc, expected_path, "instance")?;
+    if expected_instance != instance {
+        return Err(format!(
+            "fingerprint baseline {expected_path} pins instance {expected_instance:?}, but \
+             this run swept {instance:?}"
+        ));
+    }
+    Ok(str_field(&doc, expected_path, "fingerprint")?.to_string())
 }
 
 /// The standard grid's instance label — shared by `--shard`,
@@ -1385,46 +1394,57 @@ fn run_worker_cli(args: &Args, scenario: &Scenario, catalog: &Catalog, mode: &st
 }
 
 /// Loads a committed gate baseline and returns its speedup, validating
-/// that it matches the run's mode and instance size (a ratio measured at
-/// one `n` says nothing about another).
+/// that it matches the run's mode, instance size and — when the run has
+/// one, as quick and full runs do — network model (a ratio measured at
+/// one `n` or on one network says nothing about another).
 ///
-/// A missing, unreadable, or mismatched baseline is a **setup defect**,
-/// not a performance regression: the caller exits `2`, distinct from the
-/// gate-failure exit `1`, and the message names the expected path and how
-/// to regenerate it.
-fn load_baseline_speedup(baseline_path: &str, mode: &str, n: usize) -> Result<f64, String> {
-    let baseline_json = std::fs::read_to_string(baseline_path).map_err(|error| {
-        let flag = match mode {
-            "full" => String::new(),
-            other => format!("--{other} "),
-        };
-        format!(
-            "cannot read gate baseline {baseline_path}: {error}\n\
-             sweep_bench: expected a committed baseline at that path; generate one on a quiet \
-             machine with `sweep_bench {flag}--out {baseline_path}` and commit it"
-        )
-    })?;
-    let baseline_mode = json_string(&baseline_json, "mode").unwrap_or_default();
+/// A missing, unreadable, incomplete or mismatched baseline is a **setup
+/// defect**, not a performance regression: the caller exits `2`,
+/// distinct from the gate-failure exit `1`, and the message names the
+/// path and the missing key, or how to regenerate the file.
+fn load_baseline_speedup(
+    baseline_path: &str,
+    mode: &str,
+    net: Option<&str>,
+    n: usize,
+) -> Result<f64, String> {
+    let flag = match mode {
+        "full" => String::new(),
+        other => format!("--{other} "),
+    };
+    let doc = read_baseline(baseline_path, &flag)?;
+    let baseline_mode = str_field(&doc, baseline_path, "mode")?;
     if baseline_mode != mode {
         return Err(format!(
             "baseline {baseline_path} is mode {baseline_mode:?}, run is mode {mode:?}"
         ));
     }
-    if let Some(baseline_n) = json_number(&baseline_json, "n") {
-        if baseline_n as usize != n {
+    let baseline_n = num_field(&doc, baseline_path, "n")?;
+    if baseline_n != n as f64 {
+        return Err(format!(
+            "baseline {baseline_path} is n={baseline_n}, run is n={n}"
+        ));
+    }
+    if let Some(net) = net {
+        let baseline_net = str_field(&doc, baseline_path, "net")?;
+        if baseline_net != net {
             return Err(format!(
-                "baseline {baseline_path} is n={}, run is n={n}",
-                baseline_n as usize
+                "baseline {baseline_path} is net {baseline_net:?}, run is net {net:?}"
             ));
         }
     }
-    json_number(&baseline_json, "speedup")
-        .ok_or_else(|| format!("baseline {baseline_path} has no \"speedup\" field"))
+    num_field(&doc, baseline_path, "speedup")
 }
 
 /// The >20% speedup-ratio regression gate shared by every measured mode.
-fn check_gate(baseline_path: &str, mode: &str, n: usize, speedup: f64) -> ExitCode {
-    let baseline_speedup = match load_baseline_speedup(baseline_path, mode, n) {
+fn check_gate(
+    baseline_path: &str,
+    mode: &str,
+    net: Option<&str>,
+    n: usize,
+    speedup: f64,
+) -> ExitCode {
+    let baseline_speedup = match load_baseline_speedup(baseline_path, mode, net, n) {
         Ok(speedup) => speedup,
         Err(message) => {
             eprintln!("sweep_bench: {message}");
@@ -1604,14 +1624,20 @@ mod tests {
 
     #[test]
     fn missing_baseline_is_a_setup_error_naming_the_path() {
-        let error =
-            load_baseline_speedup("/nonexistent/dir/BENCH_missing.json", "quick", 64).unwrap_err();
+        let error = load_baseline_speedup(
+            "/nonexistent/dir/BENCH_missing.json",
+            "quick",
+            Some("ideal"),
+            64,
+        )
+        .unwrap_err();
         assert!(error.contains("/nonexistent/dir/BENCH_missing.json"));
         assert!(
             error.contains("--quick --out"),
             "error must say how to regenerate: {error}"
         );
-        let full_error = load_baseline_speedup("/nonexistent/x.json", "full", 64).unwrap_err();
+        let full_error =
+            load_baseline_speedup("/nonexistent/x.json", "full", Some("ideal"), 64).unwrap_err();
         assert!(
             full_error.contains("`sweep_bench --out"),
             "full mode has no flag: {full_error}"
@@ -1621,27 +1647,116 @@ mod tests {
     #[test]
     fn mismatched_mode_or_n_is_rejected() {
         let path = temp_baseline("mode", r#"{"mode": "full", "n": 64, "speedup": 8.0}"#);
-        let error = load_baseline_speedup(path.to_str().unwrap(), "quick", 64).unwrap_err();
+        let error = load_baseline_speedup(path.to_str().unwrap(), "quick", None, 64).unwrap_err();
         assert!(error.contains("mode"), "{error}");
-        let error = load_baseline_speedup(path.to_str().unwrap(), "full", 1024).unwrap_err();
+        let error = load_baseline_speedup(path.to_str().unwrap(), "full", None, 1024).unwrap_err();
         assert!(error.contains("n=64"), "{error}");
         let _ = std::fs::remove_file(path);
     }
 
+    /// Loads `contents` as a quick-mode ideal-network baseline and
+    /// returns the rejection message.
+    fn quick_baseline_error(name: &str, contents: &str) -> String {
+        let path = temp_baseline(name, contents);
+        let error = load_baseline_speedup(path.to_str().unwrap(), "quick", Some("ideal"), 64)
+            .expect_err("the baseline must be rejected");
+        let _ = std::fs::remove_file(path);
+        error
+    }
+
+    #[test]
+    fn baseline_without_mode_is_rejected_naming_the_key() {
+        let error =
+            quick_baseline_error("nomode", r#"{"net": "ideal", "n": 64, "speedup": 35.58}"#);
+        assert!(error.contains("missing key \"mode\""), "{error}");
+    }
+
+    #[test]
+    fn baseline_without_n_is_rejected_naming_the_key() {
+        let error = quick_baseline_error(
+            "non",
+            r#"{"mode": "quick", "net": "ideal", "speedup": 35.58}"#,
+        );
+        assert!(error.contains("missing key \"n\""), "{error}");
+    }
+
+    #[test]
+    fn quick_baseline_without_net_is_rejected_naming_the_key() {
+        let error =
+            quick_baseline_error("nonet", r#"{"mode": "quick", "n": 64, "speedup": 35.58}"#);
+        assert!(error.contains("missing key \"net\""), "{error}");
+    }
+
+    #[test]
+    fn baseline_from_another_network_is_rejected() {
+        // The committed shared-network quick baseline gates at ~4.5x; an
+        // ideal run must not be accepted against it.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/baselines/BENCH_sweep_quick_shared.json"
+        );
+        let error = load_baseline_speedup(path, "quick", Some("ideal"), 64).unwrap_err();
+        assert!(error.contains("net \"shared\""), "{error}");
+    }
+
     #[test]
     fn valid_baseline_yields_its_speedup() {
-        let path = temp_baseline("ok", r#"{"mode": "quick", "n": 64, "speedup": 35.58}"#);
-        let speedup = load_baseline_speedup(path.to_str().unwrap(), "quick", 64).expect("loads");
+        let path = temp_baseline(
+            "ok",
+            r#"{"mode": "quick", "net": "ideal", "n": 64, "speedup": 35.58}"#,
+        );
+        let speedup = load_baseline_speedup(path.to_str().unwrap(), "quick", Some("ideal"), 64)
+            .expect("loads");
         assert!((speedup - 35.58).abs() < 1e-9);
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn baseline_without_speedup_is_rejected() {
-        let path = temp_baseline("nospeedup", r#"{"mode": "quick", "n": 64}"#);
-        let error = load_baseline_speedup(path.to_str().unwrap(), "quick", 64).unwrap_err();
+        let error =
+            quick_baseline_error("nospeedup", r#"{"mode": "quick", "net": "ideal", "n": 64}"#);
         assert!(error.contains("speedup"), "{error}");
+    }
+
+    #[test]
+    fn fingerprint_file_without_instance_is_rejected_naming_the_key() {
+        let path = temp_baseline(
+            "noinstance",
+            r#"{"fingerprint": "fnv1a64:0000000000000000"}"#,
+        );
+        let error = load_fingerprint(path.to_str().unwrap(), &grid_instance("quick")).unwrap_err();
+        assert!(error.contains("missing key \"instance\""), "{error}");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn fingerprint_file_without_fingerprint_is_rejected_naming_the_key() {
+        let path = temp_baseline(
+            "nofingerprint",
+            r#"{"instance": "sweep-n64-i2004-s7-quick-ideal"}"#,
+        );
+        let error = load_fingerprint(path.to_str().unwrap(), &grid_instance("quick")).unwrap_err();
+        assert!(error.contains("missing key \"fingerprint\""), "{error}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn committed_baselines_carry_every_gate_key() {
+        let baseline = |name: &str| format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"));
+        for (name, mode, net, n) in [
+            ("BENCH_sweep_quick.json", "quick", Some("ideal"), N),
+            ("BENCH_sweep_full.json", "full", Some("ideal"), N),
+            ("BENCH_sweep_large.json", "large", None, LARGE_N),
+        ] {
+            load_baseline_speedup(&baseline(name), mode, net, n).expect(name);
+        }
+        load_stream_baselines(&baseline("BENCH_sweep_stream.json")).expect("stream baseline");
+        let pinned = load_fingerprint(
+            &baseline("SWEEP_fingerprint_quick.json"),
+            &grid_instance("quick"),
+        )
+        .expect("fingerprint file");
+        assert_eq!(pinned, "fnv1a64:8858f5090087ee41");
     }
 
     const STREAM_BASELINE: &str =
@@ -1696,10 +1811,8 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/baselines/BENCH_sweep_stream.json"
         );
-        let json = std::fs::read_to_string(path).expect("committed stream baseline exists");
-        assert_eq!(json_string(&json, "mode").as_deref(), Some("stream"));
-        let n64 = json_number(&json, "n64_speedup").expect("n64_speedup present");
-        let n1024 = json_number(&json, "n1024_speedup").expect("n1024_speedup present");
+        let [(_, n64), (_, n1024)] =
+            load_stream_baselines(path).expect("committed stream baseline");
         assert!(n64 >= 5.0, "n64 incremental-vs-cold speedup {n64} < 5x");
         assert!(
             n1024 >= 5.0,

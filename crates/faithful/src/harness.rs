@@ -1,5 +1,5 @@
 //! The faithful-mechanism run engine: configuration + one-shot run
-//! functions, plus the deprecated [`FaithfulSim`] adapter.
+//! functions.
 //!
 //! [`FaithfulConfig`] is the plain-data description of one faithful-FPSS
 //! instance; [`run_faithful`] assembles the topology nodes plus the bank,
@@ -8,6 +8,11 @@
 //! quiescence hooks, and converts the bank's settlement plus ground-truth
 //! node state into realized utilities. The `specfaith::scenario` layer
 //! drives this engine directly.
+//!
+//! The centralized reference check of a green-lighted run draws from the
+//! configuration's own [`CacheScope`], with the same discipline as the
+//! plain engine: the true-cost cache is pinned and shared by repeated
+//! runs, and any other declaration's cache is released after its check.
 //!
 //! Utility model (see DESIGN.md):
 //!
@@ -22,11 +27,10 @@
 use crate::actor::NodeOrBank;
 use crate::bank::BankNode;
 use crate::node::FaithfulNode;
-use specfaith_core::equilibrium::{test_deviations, DeviationSpec, EquilibriumReport};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
-use specfaith_fpss::deviation::{standard_catalog, Faithful, RationalStrategy};
+use specfaith_fpss::deviation::{Faithful, RationalStrategy};
 use specfaith_fpss::node::{StreamCommand, TAG_STREAM};
 use specfaith_fpss::pricing::{expected_tables_for, tables_agree};
 use specfaith_fpss::runner::ReferenceCheck;
@@ -40,7 +44,6 @@ use specfaith_netsim::{
     TopologyEvent,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Plain-data configuration of a faithful-FPSS simulation instance.
 #[derive(Clone, Debug)]
@@ -75,9 +78,8 @@ pub struct FaithfulConfig {
     /// Secret the bank derives per-node channel keys from.
     pub bank_secret: Vec<u8>,
     /// Route-cache registry the harness's centralized reference check
-    /// draws from. Defaults to the process-shared registry
-    /// ([`CacheScope::global`]); run/sweep engines thread a scope of
-    /// their own so the caches die with the workload.
+    /// draws from. Each configuration gets a fresh scope; sweep engines
+    /// thread a scope of their own so the caches die with the workload.
     pub routes: CacheScope,
     /// Scope of the post-green-light reference comparison.
     pub reference_check: ReferenceCheck,
@@ -106,7 +108,7 @@ impl FaithfulConfig {
             dynamics: Dynamics::new(),
             max_events: 10_000_000,
             bank_secret: b"specfaith-bank-secret".to_vec(),
-            routes: CacheScope::global(),
+            routes: CacheScope::eager(),
             reference_check: ReferenceCheck::Full,
         }
     }
@@ -296,15 +298,19 @@ fn harvest(
 
     // Once the bank certifies construction, the certified tables can be
     // compared against the centralized VCG reference under the declared
-    // costs — the same pinning the plain engine performs, drawing routes
-    // from the config's cache scope.
+    // costs, drawing routes from the config's cache scope exactly as the
+    // plain engine does.
     let tables_match_centralized = if green_lighted {
         let declared: CostVector = config
             .topo
             .nodes()
             .map(|id| net.node(id).node().declared_cost().expect("started"))
             .collect();
-        let routes = config.routes.cache(&config.topo, &declared);
+        let routes = if declared == config.true_costs {
+            config.routes.pin(&config.topo, &declared)
+        } else {
+            config.routes.cache(&config.topo, &declared)
+        };
         let ok = config.reference_check.sources(n).iter().all(|&id| {
             let core = net.node(id).node().core();
             let (expected_routing, expected_pricing) = expected_tables_for(&routes, id);
@@ -315,8 +321,8 @@ fn harvest(
                 &expected_pricing,
             )
         });
-        // Eager scopes (sweeps) drop this cell's cache here; no-op
-        // elsewhere.
+        // A misreport's single-use cache is dropped here; the pinned
+        // true-cost cache stays.
         config.routes.release(&routes);
         Some(ok)
     } else {
@@ -549,136 +555,6 @@ impl FaithfulRunState {
     }
 }
 
-/// The deviation specs of the standard catalog (tagged with phases).
-pub fn standard_catalog_specs() -> Vec<DeviationSpec> {
-    standard_catalog(NodeId::new(0))
-        .iter()
-        .map(|s| s.spec())
-        .collect()
-}
-
-/// The serial Theorem-1 sweep on one instance: plays the faithful
-/// profile, then every `(node, deviation)` pair from the standard
-/// catalog, and returns the equilibrium report (profitability + detection
-/// per deviation).
-///
-/// The `specfaith::scenario` layer supersedes this with a seed-grid,
-/// parallel sweep; this function remains the single-instance reference
-/// implementation.
-pub fn equilibrium_report(config: &FaithfulConfig, seed: u64) -> EquilibriumReport {
-    let n = config.topo.num_nodes();
-    let specs = standard_catalog_specs();
-    // The honest baseline is simulated exactly once, up front, and shared
-    // immutably with every (agent, deviation) comparison — the same
-    // shape the scenario-level sweep uses per seed.
-    let baseline: Arc<FaithfulRunResult> = Arc::new(run_faithful_honest(config, seed));
-    test_deviations(n, &specs, |deviation| match deviation {
-        None => (baseline.utilities.clone(), baseline.detected),
-        Some((agent, spec)) => {
-            let agent_id = NodeId::from_index(agent);
-            // Forged pricing tags use the deviant's own id: a node is
-            // never its own checker, so the tag is guaranteed invalid.
-            let strategy = standard_catalog(agent_id)
-                .into_iter()
-                .find(|s| s.spec().name() == spec.name())
-                .expect("spec names are stable");
-            let run = run_faithful_with_deviant(config, agent_id, strategy, seed);
-            (run.utilities, run.detected)
-        }
-    })
-}
-
-/// Deprecated builder over [`FaithfulConfig`] + [`run_faithful`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `specfaith::scenario::Scenario::builder()` with `Mechanism::Faithful` (or drive `FaithfulConfig`/`run_faithful` directly)"
-)]
-#[derive(Clone, Debug)]
-pub struct FaithfulSim {
-    config: FaithfulConfig,
-}
-
-#[allow(deprecated)]
-impl FaithfulSim {
-    /// A simulation over a biconnected topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        FaithfulSim {
-            config: FaithfulConfig::new(topo, true_costs, traffic),
-        }
-    }
-
-    /// Overrides the settlement config (per-packet value `W`).
-    #[must_use]
-    pub fn with_settlement(mut self, settlement: SettlementConfig) -> Self {
-        self.config.settlement = settlement;
-        self
-    }
-
-    /// Overrides the progress value `V`.
-    #[must_use]
-    pub fn with_progress_value(mut self, value: Money) -> Self {
-        self.config.progress_value = value;
-        self
-    }
-
-    /// Overrides the restart budget.
-    #[must_use]
-    pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
-        self.config.max_restarts = max_restarts;
-        self
-    }
-
-    /// Overrides the event budget.
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.config.max_events = max_events;
-        self
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.config.topo
-    }
-
-    /// Runs with everyone faithful.
-    pub fn run_faithful(&self, seed: u64) -> FaithfulRunResult {
-        run_faithful_honest(&self.config, seed)
-    }
-
-    /// Runs with `deviant` playing `strategy`, everyone else faithful.
-    pub fn run_with_deviant(
-        &self,
-        deviant: NodeId,
-        strategy: Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> FaithfulRunResult {
-        run_faithful_with_deviant(&self.config, deviant, strategy, seed)
-    }
-
-    /// Runs with an arbitrary strategy assignment.
-    pub fn run_with(
-        &self,
-        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> FaithfulRunResult {
-        run_faithful(&self.config, strategies, seed)
-    }
-
-    /// The deviation specs of the standard catalog (tagged with phases).
-    pub fn catalog_specs(&self) -> Vec<DeviationSpec> {
-        standard_catalog_specs()
-    }
-
-    /// The serial Theorem-1 sweep on this instance.
-    pub fn equilibrium_report(&self, seed: u64) -> EquilibriumReport {
-        equilibrium_report(&self.config, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,8 +562,9 @@ mod tests {
         DeflateOwnPricing, DropCheckerForwards, DropTransitPackets, SpoofShortRoutes,
         UnderreportPayments,
     };
-    use specfaith_fpss::pricing::expected_tables;
+    use specfaith_fpss::pricing::vcg_payment;
     use specfaith_fpss::traffic::Flow;
+    use specfaith_graph::cache::RouteCache;
     use specfaith_graph::generators::figure1;
 
     fn figure1_config() -> (specfaith_graph::generators::Figure1, FaithfulConfig) {
@@ -741,14 +618,11 @@ mod tests {
         // Re-run manually to inspect node state.
         let run = run_faithful_honest(&config, 1);
         assert!(run.green_lighted);
-        let reference = expected_tables(&net.topology, &net.costs);
         // The faithful run's tables are checked indirectly by the bank
         // (hash equality across principal and checkers); sanity-check one
         // payment figure: X pays C p^C per packet, 5 packets.
-        let p_c =
-            specfaith_fpss::pricing::vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c)
-                .expect("C on X→Z LCP");
-        let _ = reference;
+        let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
+        let p_c = vcg_payment(&routes, net.x, net.z, net.c).expect("C on X→Z LCP");
         assert!(p_c.is_positive());
     }
 
@@ -842,41 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_runs_are_byte_identical_to_the_global_registry_path() {
-        // The tentpole pin (faithful engine): run-scoped route caches
-        // change nothing observable about a faithful run.
-        let (net, config) = figure1_config();
-        let mut scoped_config = config.clone();
-        scoped_config.routes = specfaith_graph::cache::CacheScope::unbounded();
-        for seed in [1u64, 4] {
-            let global = run_faithful_honest(&config, seed);
-            let scoped = run_faithful_honest(&scoped_config, seed);
-            assert_eq!(global.utilities, scoped.utilities, "seed {seed}");
-            assert_eq!(global.penalties, scoped.penalties, "seed {seed}");
-            assert_eq!(
-                global.tables_match_centralized, scoped.tables_match_centralized,
-                "seed {seed}"
-            );
-            assert_eq!(global.stats.total_msgs(), scoped.stats.total_msgs());
-            let dg = run_faithful_with_deviant(
-                &config,
-                net.x,
-                Box::new(UnderreportPayments { keep_percent: 10 }),
-                seed,
-            );
-            let ds = run_faithful_with_deviant(
-                &scoped_config,
-                net.x,
-                Box::new(UnderreportPayments { keep_percent: 10 }),
-                seed,
-            );
-            assert_eq!(dg.utilities, ds.utilities);
-            assert_eq!(dg.penalties, ds.penalties);
-            assert_eq!(dg.detected, ds.detected);
-        }
-    }
-
-    #[test]
     fn safe_deviants_take_the_incremental_path_byte_identically() {
         // The deviant-node recompute satellite, under the full
         // enforcement stack: a destination-scoped-safe deviant
@@ -922,16 +761,6 @@ mod tests {
             slow.stats.total_msgs(),
             "announcement traffic must be identical"
         );
-    }
-
-    #[test]
-    fn figure1_catalog_sweep_is_ex_post_nash() {
-        let (_, config) = figure1_config();
-        let report = equilibrium_report(&config, 1);
-        assert!(report.is_ex_post_nash(), "{report}");
-        assert!(report.strong_cc_holds());
-        assert!(report.strong_ac_holds());
-        assert!(report.ic_holds());
     }
 
     #[test]
@@ -1024,21 +853,5 @@ mod tests {
         assert!(state.green_lighted());
         let result = state.finish();
         assert!(result.green_lighted);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapter_matches_engine() {
-        let (_, config) = figure1_config();
-        let adapter = FaithfulSim::new(
-            config.topo.clone(),
-            config.true_costs.clone(),
-            config.traffic.clone(),
-        );
-        let via_adapter = adapter.run_faithful(1);
-        let via_engine = run_faithful_honest(&config, 1);
-        assert_eq!(via_adapter.utilities, via_engine.utilities);
-        assert_eq!(via_adapter.restarts, via_engine.restarts);
-        assert_eq!(via_adapter.green_lighted, via_engine.green_lighted);
     }
 }

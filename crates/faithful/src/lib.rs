@@ -34,8 +34,9 @@
 //! * [`bank`] — the bank actor: checkpointing, restart policy, execution
 //!   settlement.
 //! * [`actor`] — the heterogeneous node/bank wrapper for the simulator.
-//! * [`harness`] — one-call faithful runs and the deviation-sweep
-//!   experiment that certifies Theorem 1 empirically.
+//! * [`harness`] — the faithful run engine: one-call runs and resumable
+//!   streaming fixed points (deviation sweeps live in
+//!   `specfaith::scenario`).
 //! * [`metrics`] — plain-vs-faithful overhead accounting (experiment E8).
 //! * [`penalty`] — the ε-above penalty policy and its calibration
 //!   analysis (experiment E10).
@@ -68,8 +69,6 @@ pub mod node;
 pub mod penalty;
 
 pub use bank::BankNode;
-#[allow(deprecated)]
-pub use harness::FaithfulSim;
 pub use harness::{run_faithful, run_faithful_honest, run_faithful_with_deviant};
 pub use harness::{FaithfulConfig, FaithfulRunResult};
 pub use node::FaithfulNode;

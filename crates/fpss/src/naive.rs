@@ -7,27 +7,24 @@
 //! implements that baseline centrally so experiments can sweep
 //! declarations and compare against VCG.
 
-use crate::pricing::vcg_payment_in;
+use crate::pricing::vcg_payment;
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
-use specfaith_graph::cache::CacheScope;
+use specfaith_graph::cache::RouteCache;
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::topology::Topology;
 
 /// A transit node's utility under **naive** (pay-declared-cost) pricing,
-/// with routes served from `scope`: for each flow whose LCP (under
-/// `declared`) transits `node`, it is paid its declared cost and incurs
-/// its true cost, per packet.
-pub fn naive_transit_utility_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
+/// where `routes` holds the declared costs: for each flow whose LCP
+/// transits `node`, it is paid its declared cost and incurs its true
+/// cost, per packet.
+pub fn naive_transit_utility(
+    routes: &RouteCache,
     true_costs: &CostVector,
-    declared: &CostVector,
     flows: &[(NodeId, NodeId, u64)],
     node: NodeId,
 ) -> Money {
-    let routes = scope.cache(topo, declared);
-    let paid = declared.cost(node).value() as i64;
+    let paid = routes.costs().cost(node).value() as i64;
     let incurred = true_costs.cost(node).value() as i64;
     let mut utility = 0i64;
     for &(src, dst, packets) in flows {
@@ -41,72 +38,29 @@ pub fn naive_transit_utility_scoped(
     Money::new(utility)
 }
 
-/// [`naive_transit_utility_scoped`] against the process-shared registry —
-/// the compatibility default for callers with no [`CacheScope`].
-pub fn naive_transit_utility(
-    topo: &Topology,
-    true_costs: &CostVector,
-    declared: &CostVector,
-    flows: &[(NodeId, NodeId, u64)],
-    node: NodeId,
-) -> Money {
-    naive_transit_utility_scoped(
-        &CacheScope::global(),
-        topo,
-        true_costs,
-        declared,
-        flows,
-        node,
-    )
-}
-
 /// The same transit node's utility under **VCG** pricing for the same
-/// declared costs (payment `ĉ + d_{G−k} − d` per packet), with routes
-/// served from `scope`.
-pub fn vcg_transit_utility_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
+/// declared costs (payment `ĉ + d_{G−k} − d` per packet).
+pub fn vcg_transit_utility(
+    routes: &RouteCache,
     true_costs: &CostVector,
-    declared: &CostVector,
     flows: &[(NodeId, NodeId, u64)],
     node: NodeId,
 ) -> Money {
-    let routes = scope.cache(topo, declared);
     let incurred = true_costs.cost(node).value() as i64;
     let mut utility = 0i64;
     for &(src, dst, packets) in flows {
-        if let Some(p) = vcg_payment_in(&routes, src, dst, node) {
+        if let Some(p) = vcg_payment(routes, src, dst, node) {
             utility += (p.value() - incurred) * packets as i64;
         }
     }
     Money::new(utility)
 }
 
-/// [`vcg_transit_utility_scoped`] against the process-shared registry —
-/// the compatibility default for callers with no [`CacheScope`].
-pub fn vcg_transit_utility(
-    topo: &Topology,
-    true_costs: &CostVector,
-    declared: &CostVector,
-    flows: &[(NodeId, NodeId, u64)],
-    node: NodeId,
-) -> Money {
-    vcg_transit_utility_scoped(
-        &CacheScope::global(),
-        topo,
-        true_costs,
-        declared,
-        flows,
-        node,
-    )
-}
-
 /// Sweeps `node`'s declared cost over `0..=max_declared` and returns
 /// `(declared, naive utility, vcg utility)` rows — the Example 1 table.
 ///
-/// The sweep owns its route caches: every row declares a distinct cost
-/// vector, so the rows are served from a sweep-scoped [`CacheScope`]
-/// dropped on return instead of churning the process-wide registry.
+/// Every row declares a distinct cost vector, so each row gets a route
+/// cache of its own.
 pub fn example1_sweep(
     topo: &Topology,
     true_costs: &CostVector,
@@ -114,14 +68,14 @@ pub fn example1_sweep(
     node: NodeId,
     max_declared: u64,
 ) -> Vec<(u64, Money, Money)> {
-    let scope = CacheScope::unbounded();
     (0..=max_declared)
         .map(|declared_cost| {
             let declared = true_costs.with_cost(node, Cost::new(declared_cost));
+            let routes = RouteCache::new(topo.clone(), declared);
             (
                 declared_cost,
-                naive_transit_utility_scoped(&scope, topo, true_costs, &declared, flows, node),
-                vcg_transit_utility_scoped(&scope, topo, true_costs, &declared, flows, node),
+                naive_transit_utility(&routes, true_costs, flows, node),
+                vcg_transit_utility(&routes, true_costs, flows, node),
             )
         })
         .collect()
@@ -130,8 +84,6 @@ pub fn example1_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pricing::vcg_payment;
-    use specfaith_graph::cache::RouteCache;
     use specfaith_graph::generators::figure1;
 
     fn flows(net: &specfaith_graph::generators::Figure1) -> Vec<(NodeId, NodeId, u64)> {
@@ -172,7 +124,7 @@ mod tests {
         let net = figure1();
         for declared in [3u64, 4] {
             let lied = net.costs.with_cost(net.c, Cost::new(declared));
-            let routes = RouteCache::shared(&net.topology, &lied);
+            let routes = RouteCache::new(net.topology.clone(), lied);
             let path = routes.path(net.x, net.z).expect("biconnected");
             let via_c = path.transit_nodes().contains(&net.c);
             assert_eq!(via_c, declared < 4, "declared {declared}");
@@ -187,7 +139,8 @@ mod tests {
         let mut payments = Vec::new();
         for declared in 0..=3u64 {
             let lied = net.costs.with_cost(net.c, Cost::new(declared));
-            payments.push(vcg_payment(&net.topology, &lied, net.d, net.z, net.c));
+            let routes = RouteCache::new(net.topology.clone(), lied);
+            payments.push(vcg_payment(&routes, net.d, net.z, net.c));
         }
         assert!(payments.windows(2).all(|w| w[0] == w[1]), "{payments:?}");
     }

@@ -34,7 +34,7 @@ use specfaith_graph::topology::Topology;
 ///
 /// Panics if the graph is not biconnected enough for the query (no
 /// `k`-avoiding path), mirroring FPSS's biconnectivity assumption.
-pub fn vcg_payment_in(routes: &RouteCache, src: NodeId, dst: NodeId, k: NodeId) -> Option<Money> {
+pub fn vcg_payment(routes: &RouteCache, src: NodeId, dst: NodeId, k: NodeId) -> Option<Money> {
     let best = routes.path(src, dst)?;
     if !best.transit_nodes().contains(&k) {
         return None;
@@ -44,7 +44,7 @@ pub fn vcg_payment_in(routes: &RouteCache, src: NodeId, dst: NodeId, k: NodeId) 
 }
 
 /// The payment formula given the LCP and a prefetched `(src, k)` avoid
-/// tree — the shared core of [`vcg_payment_in`] and the per-source table
+/// tree — the shared core of [`vcg_payment`] and the per-source table
 /// builder (which hoists the avoid-tree handle out of its destination
 /// loop instead of re-fetching it per query).
 ///
@@ -68,36 +68,9 @@ fn payment_from_tree(
     Money::new(c_k + d_avoid - d)
 }
 
-/// [`vcg_payment_in`] against `scope`'s [`RouteCache`] for
-/// `(topo, declared)` — repeated calls under the same declared costs
-/// share all Dijkstra work with every other user of the scope.
-pub fn vcg_payment_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
-    declared: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    k: NodeId,
-) -> Option<Money> {
-    vcg_payment_in(&scope.cache(topo, declared), src, dst, k)
-}
-
-/// [`vcg_payment_in`] against the process-shared [`RouteCache`] for
-/// `(topo, declared)` — the compatibility default for callers with no
-/// [`CacheScope`] of their own.
-pub fn vcg_payment(
-    topo: &Topology,
-    declared: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    k: NodeId,
-) -> Option<Money> {
-    vcg_payment_scoped(&CacheScope::global(), topo, declared, src, dst, k)
-}
-
 /// The routing and pricing tables node `src` *should* converge to under
 /// `routes`' declared costs — one source's slice of
-/// [`expected_tables_in`], for callers (large-`n` sampled reference
+/// [`expected_tables`], for callers (large-`n` sampled reference
 /// checks) that must not pay for all `n` sources.
 pub fn expected_tables_for(routes: &RouteCache, src: NodeId) -> (RoutingTable, PricingTable) {
     let tree = routes.tree(src);
@@ -135,34 +108,12 @@ pub fn expected_tables_for(routes: &RouteCache, src: NodeId) -> (RoutingTable, P
 /// Pricing tags are not modeled centrally (they are an artifact of the
 /// distributed iteration); comparisons against this reference use paths
 /// and prices only.
-pub fn expected_tables_in(routes: &RouteCache) -> Vec<(RoutingTable, PricingTable)> {
+pub fn expected_tables(routes: &RouteCache) -> Vec<(RoutingTable, PricingTable)> {
     routes
         .topology()
         .nodes()
         .map(|src| expected_tables_for(routes, src))
         .collect()
-}
-
-/// [`expected_tables_in`] against `scope`'s [`RouteCache`] for
-/// `(topo, declared)` — run engines pass their run-scoped cache registry
-/// here so every cell of a sweep shares (and then releases) the reference
-/// Dijkstra work.
-pub fn expected_tables_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
-    declared: &CostVector,
-) -> Vec<(RoutingTable, PricingTable)> {
-    expected_tables_in(&scope.cache(topo, declared))
-}
-
-/// [`expected_tables_in`] against the process-shared [`RouteCache`] for
-/// `(topo, declared)` — the compatibility default for callers with no
-/// [`CacheScope`] of their own.
-pub fn expected_tables(
-    topo: &Topology,
-    declared: &CostVector,
-) -> Vec<(RoutingTable, PricingTable)> {
-    expected_tables_scoped(&CacheScope::global(), topo, declared)
 }
 
 /// One source's slice of [`expected_tables_uncached`]: the pre-`RouteCache`
@@ -211,8 +162,7 @@ pub fn expected_tables_uncached_for(
 }
 
 /// The pre-`RouteCache` reference implementation: every single-pair query
-/// recomputes (and clones from) a full per-source tree, exactly as
-/// `lcp()`/`lcp_avoiding()` did before their deprecation.
+/// recomputes (and clones from) a full per-source tree.
 ///
 /// Retained **only** so the sweep regression benchmark can measure the
 /// uncached baseline on the same machine as the cached path; never call
@@ -263,9 +213,8 @@ pub struct RoutingProblem {
     flows: Vec<(NodeId, NodeId, u64)>,
     /// Problem-scoped route caches: a strategyproofness check sweeps a
     /// misreport grid of declared-cost vectors, each wanting its own
-    /// cache; scoping them to the problem keeps them from thrashing (or
-    /// being thrashed by) the process-wide registry, and releases them
-    /// when the problem drops.
+    /// cache; the problem keeps every one it registers and releases them
+    /// all when it drops.
     routes: CacheScope,
 }
 
@@ -285,7 +234,7 @@ impl RoutingProblem {
         RoutingProblem {
             topo,
             flows,
-            routes: CacheScope::unbounded(),
+            routes: CacheScope::eager(),
         }
     }
 
@@ -372,12 +321,16 @@ mod tests {
     use specfaith_core::vcg::{vcg, VcgMechanism};
     use specfaith_graph::generators::figure1;
 
+    fn cache_for(topo: &Topology, declared: &CostVector) -> RouteCache {
+        RouteCache::new(topo.clone(), declared.clone())
+    }
+
     #[test]
     fn figure1_payment_to_c_is_its_marginal_contribution() {
         let net = figure1();
+        let routes = cache_for(&net.topology, &net.costs);
         // D→Z transits C; d(D,Z)=1, d_{G−C}(D,Z)=min(B=1000, X,A=105)=105.
-        let p =
-            vcg_payment(&net.topology, &net.costs, net.d, net.z, net.c).expect("C transits D→Z");
+        let p = vcg_payment(&routes, net.d, net.z, net.c).expect("C transits D→Z");
         assert_eq!(p, Money::new(1 + 105 - 1));
     }
 
@@ -385,10 +338,8 @@ mod tests {
     fn payment_is_none_off_path() {
         let net = figure1();
         // B is not on the X→Z LCP.
-        assert_eq!(
-            vcg_payment(&net.topology, &net.costs, net.x, net.z, net.b),
-            None
-        );
+        let routes = cache_for(&net.topology, &net.costs);
+        assert_eq!(vcg_payment(&routes, net.x, net.z, net.b), None);
     }
 
     #[test]
@@ -399,7 +350,8 @@ mod tests {
         let net = figure1();
         for declared_c in [1u64, 2, 3, 5] {
             let lied = net.costs.with_cost(net.c, Cost::new(declared_c));
-            let p = vcg_payment(&net.topology, &lied, net.d, net.z, net.c).expect("C still on LCP");
+            let p = vcg_payment(&cache_for(&net.topology, &lied), net.d, net.z, net.c)
+                .expect("C still on LCP");
             assert_eq!(p, Money::new(105), "declared {declared_c}");
         }
     }
@@ -407,7 +359,8 @@ mod tests {
     #[test]
     fn expected_tables_are_consistent_with_direct_queries() {
         let net = figure1();
-        let tables = expected_tables(&net.topology, &net.costs);
+        let routes = cache_for(&net.topology, &net.costs);
+        let tables = expected_tables(&routes);
         let (routing_x, pricing_x) = &tables[net.x.index()];
         assert_eq!(
             routing_x.path(net.z),
@@ -415,7 +368,7 @@ mod tests {
         );
         assert_eq!(
             pricing_x.price(net.z, net.c),
-            vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c)
+            vcg_payment(&routes, net.x, net.z, net.c)
         );
     }
 
@@ -427,8 +380,9 @@ mod tests {
         let decls: Vec<Cost> = net.costs.as_slice().to_vec();
         let outcome = vcg(&problem, &decls).expect("feasible");
         // Transit D is paid 3 packets × p^D; same for C.
-        let p_d = vcg_payment(&net.topology, &net.costs, net.x, net.z, net.d).expect("on LCP");
-        let p_c = vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c).expect("on LCP");
+        let routes = cache_for(&net.topology, &net.costs);
+        let p_d = vcg_payment(&routes, net.x, net.z, net.d).expect("on LCP");
+        let p_c = vcg_payment(&routes, net.x, net.z, net.c).expect("on LCP");
         assert_eq!(outcome.payments[net.d.index()], p_d.scale(3));
         assert_eq!(outcome.payments[net.c.index()], p_c.scale(3));
         assert_eq!(outcome.payments[net.b.index()], Money::ZERO);
@@ -447,7 +401,7 @@ mod tests {
     #[test]
     fn tables_agree_detects_differences() {
         let net = figure1();
-        let tables = expected_tables(&net.topology, &net.costs);
+        let tables = expected_tables(&cache_for(&net.topology, &net.costs));
         let (r, p) = &tables[net.x.index()];
         assert!(tables_agree(r, p, r, p));
         let mut r2 = r.clone();

@@ -3,9 +3,13 @@
 //! [`PlainConfig`] is the plain-data description of one plain-FPSS
 //! instance (topology, true costs, traffic, latency, settlement, event
 //! budget); [`run_plain`] executes it for a given strategy assignment and
-//! seed. The `specfaith::scenario` layer drives this engine directly; the
-//! deprecated [`PlainFpssSim`] builder remains as a thin adapter for one
-//! release.
+//! seed. The `specfaith::scenario` layer drives this engine directly.
+//!
+//! Each configuration owns a [`CacheScope`] for its centralized
+//! reference check. A run whose declarations are the true costs pins
+//! that cache, so repeated runs share it and later misreport runs repair
+//! their caches from it; any other run's cache is released when its
+//! check completes.
 
 use crate::deviation::{Faithful, RationalStrategy};
 use crate::node::{PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
@@ -80,9 +84,8 @@ pub struct PlainConfig {
     /// Event budget before a run is truncated.
     pub max_events: u64,
     /// Route-cache registry the run's centralized reference check draws
-    /// from. Defaults to the process-shared registry
-    /// ([`CacheScope::global`]) for compatibility; run/sweep engines
-    /// thread a scope of their own so the caches die with the workload.
+    /// from. Each configuration gets a fresh scope; sweep engines thread
+    /// a scope of their own so the caches die with the workload.
     pub routes: CacheScope,
     /// Scope of the post-construction reference comparison.
     pub reference_check: ReferenceCheck,
@@ -90,8 +93,8 @@ pub struct PlainConfig {
 
 impl PlainConfig {
     /// A configuration with the default latency, settlement, event
-    /// budget, route-cache scope (the process-shared registry), and
-    /// reference check (every node).
+    /// budget, a route-cache scope of its own, and the reference check on
+    /// every node.
     ///
     /// # Panics
     ///
@@ -108,7 +111,7 @@ impl PlainConfig {
             dynamics: Dynamics::new(),
             settlement: SettlementConfig::default(),
             max_events: 5_000_000,
-            routes: CacheScope::global(),
+            routes: CacheScope::eager(),
             reference_check: ReferenceCheck::Full,
         }
     }
@@ -164,10 +167,11 @@ pub fn run_plain_with_deviant(
 ///
 /// The post-run comparison against the centralized VCG reference draws
 /// every route from the config's [`CacheScope`] (`config.routes`) for the
-/// declared cost vector, so repeated runs over the same declarations —
-/// every non-misreporting cell of a deviation sweep sharing one scope —
-/// share one set of Dijkstra trees, and the whole set is released when
-/// the scope drops. The scope defaults to the process-shared registry.
+/// declared cost vector. The true-cost cache is pinned, so repeated runs
+/// over the true declarations — every non-misreporting cell of a
+/// deviation sweep sharing one scope — share one set of Dijkstra trees,
+/// and a misreport's cache is repaired from it and released after the
+/// check.
 pub fn run_plain(
     config: &PlainConfig,
     strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
@@ -334,7 +338,7 @@ impl PlainRunState {
         let check_sources = config.reference_check.sources(n);
         let mut pinned = None;
         let tables_match_centralized = if cached_reference {
-            let routes = if pin_reference {
+            let routes = if pin_reference || declared == config.true_costs {
                 config.routes.pin(&config.topo, &declared)
             } else {
                 config.routes.cache(&config.topo, &declared)
@@ -355,9 +359,8 @@ impl PlainRunState {
                 routes.detach_seed();
                 pinned = Some(routes);
             } else {
-                // Under an eager scope (sweeps), a single-use per-cell cache is
-                // evicted here instead of lingering to sweep end; a no-op on
-                // ordinary scopes.
+                // A misreport's single-use cache is dropped here instead of
+                // lingering to sweep end; the pinned true-cost cache stays.
                 config.routes.release(&routes);
             }
             ok
@@ -699,74 +702,6 @@ pub fn converged_table_digests(
         .collect()
 }
 
-/// Deprecated builder over [`PlainConfig`] + [`run_plain`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `specfaith::scenario::Scenario::builder()` with `Mechanism::Plain` (or drive `PlainConfig`/`run_plain` directly)"
-)]
-#[derive(Clone, Debug)]
-pub struct PlainFpssSim {
-    config: PlainConfig,
-}
-
-#[allow(deprecated)]
-impl PlainFpssSim {
-    /// A simulation over a biconnected topology with true costs and an
-    /// execution-phase traffic matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        PlainFpssSim {
-            config: PlainConfig::new(topo, true_costs, traffic),
-        }
-    }
-
-    /// Overrides the settlement configuration.
-    #[must_use]
-    pub fn with_settlement(mut self, settlement: SettlementConfig) -> Self {
-        self.config.settlement = settlement;
-        self
-    }
-
-    /// Overrides the event budget.
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.config.max_events = max_events;
-        self
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.config.topo
-    }
-
-    /// Runs with every node faithful.
-    pub fn run_faithful(&self, seed: u64) -> PlainRunResult {
-        run_plain_faithful(&self.config, seed)
-    }
-
-    /// Runs with `deviant` playing `strategy` and everyone else faithful.
-    pub fn run_with_deviant(
-        &self,
-        deviant: NodeId,
-        strategy: Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> PlainRunResult {
-        run_plain_with_deviant(&self.config, deviant, strategy, seed)
-    }
-
-    /// Runs with an arbitrary per-node strategy assignment.
-    pub fn run_with(
-        &self,
-        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> PlainRunResult {
-        run_plain(&self.config, strategies, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,43 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_runs_are_byte_identical_to_the_global_registry_path() {
-        // The tentpole pin (plain engine): a run whose reference check
-        // draws from a run-scoped CacheScope produces exactly the result
-        // of the same run on the process-shared registry.
-        let (net, config) = figure1_config();
-        let mut scoped_config = config.clone();
-        scoped_config.routes = specfaith_graph::cache::CacheScope::unbounded();
-        for seed in [1u64, 3, 9] {
-            let global = run_plain_faithful(&config, seed);
-            let scoped = run_plain_faithful(&scoped_config, seed);
-            assert_eq!(global.utilities, scoped.utilities, "seed {seed}");
-            assert_eq!(
-                global.tables_match_centralized, scoped.tables_match_centralized,
-                "seed {seed}"
-            );
-            assert_eq!(
-                global.stats.total_msgs(),
-                scoped.stats.total_msgs(),
-                "seed {seed}"
-            );
-            let deviant_global =
-                run_plain_with_deviant(&config, net.c, Box::new(MisreportCost { delta: 2 }), seed);
-            let deviant_scoped = run_plain_with_deviant(
-                &scoped_config,
-                net.c,
-                Box::new(MisreportCost { delta: 2 }),
-                seed,
-            );
-            assert_eq!(deviant_global.utilities, deviant_scoped.utilities);
-            assert_eq!(
-                deviant_global.tables_match_centralized,
-                deviant_scoped.tables_match_centralized
-            );
-        }
-    }
-
-    #[test]
     fn sampled_reference_check_matches_full_on_honest_runs() {
         let (_, config) = figure1_config();
         let mut sampled = config.clone();
@@ -1077,14 +975,6 @@ mod tests {
         );
     }
 
-    fn stream_config(topo: Topology, costs: CostVector, traffic: TrafficMatrix) -> PlainConfig {
-        let mut config = PlainConfig::new(topo, costs, traffic);
-        // Streaming engines use an eager scope: caches roll forward with the
-        // pin and single-use generations are evicted as the stream advances.
-        config.routes = specfaith_graph::cache::CacheScope::eager();
-        config
-    }
-
     #[test]
     fn checkpoint_then_finish_is_byte_identical_to_run_plain() {
         // The tentpole pin (refactor direction): suspending at the fixed
@@ -1133,7 +1023,7 @@ mod tests {
     #[test]
     fn streamed_cost_events_land_on_the_cold_fixed_point() {
         let (net, config) = figure1_config();
-        let config = stream_config(config.topo, config.true_costs, config.traffic);
+        let config = PlainConfig::new(config.topo, config.true_costs, config.traffic);
         let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
         assert!(state.tables_match_centralized());
         let events = [
@@ -1185,7 +1075,7 @@ mod tests {
             dst: NodeId::from_index(5),
             packets: 2,
         }]);
-        let config = stream_config(topo.clone(), costs, traffic);
+        let config = PlainConfig::new(topo.clone(), costs, traffic);
         let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
         let baseline = state.table_digests();
 
@@ -1250,7 +1140,7 @@ mod tests {
             dst: NodeId::from_index(2),
             packets: 1,
         }]);
-        let config = stream_config(topo, costs, traffic);
+        let config = PlainConfig::new(topo, costs, traffic);
         let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
         let baseline = state.table_digests();
 
@@ -1292,23 +1182,5 @@ mod tests {
         assert_eq!(outcome.messages, 0);
         assert_eq!(state.table_digests(), baseline);
         assert!(state.tables_match_centralized());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapter_matches_engine() {
-        let (_, config) = figure1_config();
-        let adapter = PlainFpssSim::new(
-            config.topo.clone(),
-            config.true_costs.clone(),
-            config.traffic.clone(),
-        );
-        let via_adapter = adapter.run_faithful(3);
-        let via_engine = run_plain_faithful(&config, 3);
-        assert_eq!(via_adapter.utilities, via_engine.utilities);
-        assert_eq!(
-            via_adapter.stats.total_msgs(),
-            via_engine.stats.total_msgs()
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! Memoized all-pairs lowest-cost routes: the [`RouteCache`] and the
-//! [`CacheScope`] registries that own collections of them.
+//! [`CacheScope`] registry that owns collections of them.
 //!
 //! Every layer of the workspace asks the same two questions of a
 //! `(topology, cost-vector)` pair — *"what is the LCP from `src` to
@@ -25,18 +25,15 @@
 //! to `n²`. At `n = 1024` a fully-dense table would be ~1M slots before a
 //! single query; the sparse index allocates nothing until asked.
 //!
-//! # Scoping guidance
+//! # Scoping
 //!
-//! Registries of caches are [`CacheScope`]s: create one per run or sweep
-//! ([`CacheScope::unbounded`]), let every cell of the workload share it,
-//! and drop it on completion — memory is then bounded by the distinct
-//! declared-cost vectors *that workload* actually produced, and two
-//! concurrent workloads can never evict each other's caches. The
-//! process-wide registry behind [`RouteCache::shared`] survives as a
-//! compatibility default ([`CacheScope::global`], capacity-bounded with
-//! LRU eviction); long-running processes that churn through many distinct
-//! cost vectors should prefer run-scoped caches, or call
-//! [`RouteCache::clear_shared`] between workloads.
+//! Every registry of caches is a [`CacheScope`], and every scope releases
+//! eagerly: a workload cell that finishes with a cache no other cell
+//! shares ([`CacheScope::release`]) drops it at once, while
+//! [`CacheScope::pin`]ned caches — a sweep's honest baseline — live as
+//! long as the scope and seed every one-node-delta cache registered after
+//! them. Each run configuration owns a scope, sweeps and streams create
+//! their own, and there is no process-wide registry.
 //!
 //! # Example
 //!
@@ -45,7 +42,7 @@
 //! use specfaith_graph::generators::figure1;
 //!
 //! let net = figure1();
-//! let routes = RouteCache::shared(&net.topology, &net.costs);
+//! let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
 //! let path = routes.path(net.x, net.z).expect("biconnected");
 //! assert_eq!(path.cost().value(), 2);
 //! // The detour avoiding C — the d_{G−C}(X,Z) VCG query — reuses the
@@ -60,17 +57,9 @@ use crate::path::PathMetric;
 use crate::repair::{repair_avoiding, repair_cost_change};
 use crate::topology::Topology;
 use specfaith_core::id::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// How many distinct `(topology, cost-vector)` pairs the process-wide
-/// [`CacheScope::global`] registry keeps alive at once. Beyond this the
-/// least-recently-used pair is evicted; correctness is unaffected (a
-/// re-miss just recomputes). Run-scoped registries
-/// ([`CacheScope::unbounded`]) have no such limit — they are dropped
-/// wholesale when their workload completes.
-const SHARED_CAPACITY: usize = 64;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Shard count of the sparse avoid-tree index. Shards only bound lock
 /// contention on the *index* (tree computation itself happens outside any
@@ -282,23 +271,6 @@ impl RouteCache {
             .take();
     }
 
-    /// The process-shared cache for `(topo, costs)` — shorthand for
-    /// [`CacheScope::global`]`.cache(topo, costs)`, retained as the
-    /// compatibility default for callers with no scope of their own.
-    ///
-    /// Run and sweep engines thread an explicit run-scoped [`CacheScope`]
-    /// instead, so concurrent workloads cannot evict each other.
-    pub fn shared(topo: &Topology, costs: &CostVector) -> Arc<RouteCache> {
-        CacheScope::global().cache(topo, costs)
-    }
-
-    /// Empties the process-shared registry, releasing every retained
-    /// cache not otherwise referenced. Results are unaffected — future
-    /// [`RouteCache::shared`] lookups just recompute.
-    pub fn clear_shared() {
-        CacheScope::global().clear();
-    }
-
     /// The topology this cache answers for.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -368,9 +340,8 @@ impl RouteCache {
         .clone()
     }
 
-    /// The lowest-cost path `src → dst`, or `None` if unreachable.
-    /// Borrowed from the cached tree — the zero-clone replacement for the
-    /// deprecated [`crate::lcp::lcp`].
+    /// The lowest-cost path `src → dst`, or `None` if unreachable,
+    /// borrowed from the cached tree.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<&PathMetric> {
         self.tree(src)[dst.index()].as_ref()
     }
@@ -419,26 +390,27 @@ impl RouteCache {
 /// the `(topology, costs)` clones happen **outside** the registry lock,
 /// so concurrent sweep threads never serialize behind another thread's
 /// allocation.
+///
+/// Release is eager: when a workload cell finishes with a cache no other
+/// cell shares ([`CacheScope::release`]), the cache is dropped at once,
+/// so peak memory tracks *concurrent* cells, not the total distinct cost
+/// vectors of the workload. Caches several cells share — a
+/// [`CacheScope::pin`]ned honest baseline, or any cache another cell still
+/// holds — stay registered.
 #[derive(Clone)]
 pub struct CacheScope {
     inner: Arc<ScopeInner>,
 }
 
 struct ScopeInner {
-    /// Registered caches in LRU order (front = coldest).
-    registry: Mutex<VecDeque<Arc<RouteCache>>>,
-    /// `None` = unbounded (run-scoped); `Some(cap)` = LRU-evicting.
-    capacity: Option<usize>,
-    /// Eager scopes drop single-use caches at [`CacheScope::release`]
-    /// instead of retaining them to scope end.
-    eager: bool,
-    /// Caches exempt from eager release (e.g. a sweep's shared honest
-    /// baseline); holding the `Arc` here also keeps their refcount above
-    /// the release threshold.
+    /// Registered caches, in no particular order.
+    registry: Mutex<Vec<Arc<RouteCache>>>,
+    /// Caches exempt from release (e.g. a sweep's shared honest baseline);
+    /// holding the `Arc` here also keeps their refcount above the release
+    /// threshold.
     pinned: Mutex<Vec<Arc<RouteCache>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    evictions: AtomicUsize,
     /// Misses answered with a cache seeded from a pinned base
     /// ([`RouteCache::seeded_from`]) instead of a cold cache.
     seeded: AtomicUsize,
@@ -448,7 +420,7 @@ struct ScopeInner {
     /// because no donor's cost vector differed at exactly one node
     /// ([`CostVector::one_node_delta`] returned `None`).
     seed_delta_mismatch: AtomicUsize,
-    /// Caches dropped early by [`CacheScope::release`].
+    /// Caches dropped by [`CacheScope::release`].
     released: AtomicUsize,
     /// High-water mark of simultaneously registered caches.
     peak: AtomicUsize,
@@ -458,25 +430,36 @@ impl std::fmt::Debug for CacheScope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheScope")
             .field("len", &self.len())
-            .field("capacity", &self.inner.capacity)
             .field("hits", &self.hits())
             .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
+            .field("released", &self.released())
             .finish()
     }
 }
 
+/// The registered cache for exactly `(topo, costs)`, if any.
+fn find(
+    registry: &[Arc<RouteCache>],
+    print: u64,
+    topo: &Topology,
+    costs: &CostVector,
+) -> Option<Arc<RouteCache>> {
+    registry
+        .iter()
+        .find(|c| c.fingerprint == print && c.topo == *topo && c.costs == *costs)
+        .map(Arc::clone)
+}
+
 impl CacheScope {
-    fn build(capacity: Option<usize>, eager: bool) -> Self {
+    /// An empty scope, releasing eagerly as described on the type — the
+    /// one policy every run, sweep and stream uses.
+    pub fn eager() -> Self {
         CacheScope {
             inner: Arc::new(ScopeInner {
-                registry: Mutex::new(VecDeque::new()),
-                capacity,
-                eager,
+                registry: Mutex::new(Vec::new()),
                 pinned: Mutex::new(Vec::new()),
                 hits: AtomicUsize::new(0),
                 misses: AtomicUsize::new(0),
-                evictions: AtomicUsize::new(0),
                 seeded: AtomicUsize::new(0),
                 seed_no_donor: AtomicUsize::new(0),
                 seed_delta_mismatch: AtomicUsize::new(0),
@@ -486,61 +469,23 @@ impl CacheScope {
         }
     }
 
-    fn with_capacity(capacity: Option<usize>) -> Self {
-        CacheScope::build(capacity, false)
+    fn registry(&self) -> MutexGuard<'_, Vec<Arc<RouteCache>>> {
+        self.inner
+            .registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// An unbounded scope with **eager release**: when a workload cell
-    /// finishes with a cache no other cell shares
-    /// ([`CacheScope::release`]), the cache is dropped immediately instead
-    /// of lingering to scope end. Sweep engines use this so peak memory
-    /// tracks *concurrent* cells, not the total distinct cost vectors of
-    /// the sweep; caches several cells share — a [`CacheScope::pin`]ned
-    /// honest baseline, or any cache another cell still holds — are
-    /// retained exactly as in an ordinary unbounded scope.
-    pub fn eager() -> Self {
-        CacheScope::build(None, true)
-    }
-
-    /// An unbounded scope: nothing is ever evicted, memory is released
-    /// when the scope (and every outstanding cache handle) drops. The
-    /// right choice for run/sweep-scoped registries, whose distinct
-    /// cost-vector population is bounded by the workload itself.
-    pub fn unbounded() -> Self {
-        CacheScope::with_capacity(None)
-    }
-
-    /// A scope retaining at most `capacity` caches, evicting the
-    /// least-recently-used beyond that. Correctness is unaffected by
-    /// eviction (a re-miss just recomputes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a scope that can hold nothing would
-    /// silently recompute every lookup).
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "a cache scope needs capacity for at least one cache"
-        );
-        CacheScope::with_capacity(Some(capacity))
-    }
-
-    /// The process-wide scope behind [`RouteCache::shared`]: bounded at
-    /// 64 caches, shared by every caller that does not thread a scope of
-    /// its own. A compatibility default — scoped workloads should create
-    /// their own registry instead.
-    pub fn global() -> CacheScope {
-        static GLOBAL: OnceLock<CacheScope> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| CacheScope::bounded(SHARED_CAPACITY))
-            .clone()
+    fn pinned(&self) -> MutexGuard<'_, Vec<Arc<RouteCache>>> {
+        self.inner
+            .pinned
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cache for `(topo, costs)` in this scope: returns the
     /// registered cache when one exists (fingerprint pre-filter, then
-    /// full structural equality), otherwise registers a fresh one,
-    /// evicting the least-recently-used entry past the scope's capacity.
+    /// full structural equality), otherwise registers a fresh one.
     ///
     /// When a [`CacheScope::pin`]ned cache shares the topology and differs
     /// from `costs` at exactly one node — the shape of every misreport
@@ -551,31 +496,22 @@ impl CacheScope {
     /// the [`CacheScope::seeded`] counter records how often it applied.
     pub fn cache(&self, topo: &Topology, costs: &CostVector) -> Arc<RouteCache> {
         let print = fingerprint(topo, costs);
-        if let Some(hit) = self.lookup(print, topo, costs) {
+        if let Some(hit) = find(&self.registry(), print, topo, costs) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         // Miss: allocate — and deep-clone the topology and cost vector —
-        // outside the lock, so rayon sweep threads building caches for
+        // outside the lock, so sweep threads building caches for
         // *different* cost vectors do not serialize each other.
         let fresh = match self.seed_base(topo, costs) {
             Some(base) => Arc::new(RouteCache::seeded_from(&base, costs.clone())),
             None => Arc::new(RouteCache::new(topo.clone(), costs.clone())),
         };
-        let mut registry = self
-            .inner
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut registry = self.registry();
         // Re-check under the lock: another thread may have registered the
         // same pair while we were allocating; sharing its cache keeps the
         // work-once guarantee.
-        if let Some(at) = registry
-            .iter()
-            .position(|c| c.fingerprint == print && c.topo == *topo && c.costs == *costs)
-        {
-            let hit = registry.remove(at).expect("position just found");
-            registry.push_back(Arc::clone(&hit));
+        if let Some(hit) = find(&registry, print, topo, costs) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -583,34 +519,19 @@ impl CacheScope {
         if fresh.is_seeded() {
             self.inner.seeded.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(capacity) = self.inner.capacity {
-            while registry.len() >= capacity {
-                registry.pop_front();
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        registry.push_back(Arc::clone(&fresh));
+        registry.push(Arc::clone(&fresh));
         self.inner.peak.fetch_max(registry.len(), Ordering::Relaxed);
         fresh
     }
 
-    /// Whether this scope releases single-use caches eagerly
-    /// ([`CacheScope::eager`]).
-    pub fn is_eager(&self) -> bool {
-        self.inner.eager
-    }
-
     /// The cache for `(topo, costs)`, additionally **pinned**: exempt from
-    /// eager [`CacheScope::release`] for the scope's lifetime. Sweep
-    /// engines pin the honest-declaration cache every non-misreporting
-    /// cell shares; releasing it between cells would thrash it.
+    /// [`CacheScope::release`] for the scope's lifetime, and a seed base
+    /// for later one-node-delta lookups. Run engines pin the cache of the
+    /// true-cost declarations, which every non-misreporting cell shares;
+    /// releasing it between cells would thrash it.
     pub fn pin(&self, topo: &Topology, costs: &CostVector) -> Arc<RouteCache> {
         let cache = self.cache(topo, costs);
-        let mut pinned = self
-            .inner
-            .pinned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut pinned = self.pinned();
         if !pinned.iter().any(|p| Arc::ptr_eq(p, &cache)) {
             pinned.push(Arc::clone(&cache));
         }
@@ -623,42 +544,22 @@ impl CacheScope {
     /// [`CacheScope::release`]) the previous one — so a long event stream
     /// retains one pinned cache, not one per event.
     pub fn unpin(&self, cache: &Arc<RouteCache>) {
-        let mut pinned = self
-            .inner
-            .pinned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut pinned = self.pinned();
         if let Some(at) = pinned.iter().position(|p| Arc::ptr_eq(p, cache)) {
             pinned.remove(at);
         }
     }
 
-    /// Declares the caller finished with `cache`. On an **eager** scope,
-    /// if no other workload cell shares the cache (and it is not pinned),
-    /// it is dropped from the registry immediately — freeing its trees
-    /// midway through the workload instead of at scope end. On ordinary
-    /// scopes this is a no-op, so engines can call it unconditionally with
-    /// zero behavioral change. Never affects correctness either way: a
+    /// Declares the caller finished with `cache`: if no other workload
+    /// cell shares the cache and it is not pinned, it is dropped from the
+    /// registry immediately — freeing its trees midway through the
+    /// workload instead of at scope end. Never affects correctness: a
     /// released pair that is looked up again simply recomputes.
     pub fn release(&self, cache: &Arc<RouteCache>) {
-        if !self.inner.eager {
+        if self.pinned().iter().any(|p| Arc::ptr_eq(p, cache)) {
             return;
         }
-        {
-            let pinned = self
-                .inner
-                .pinned
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if pinned.iter().any(|p| Arc::ptr_eq(p, cache)) {
-                return;
-            }
-        }
-        let mut registry = self
-            .inner
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut registry = self.registry();
         // Single-use check under the registry lock: the caller's handle
         // plus the registry's account for 2 strong refs; any more means
         // another cell is still using this cache — leave it registered.
@@ -666,7 +567,7 @@ impl CacheScope {
             return;
         }
         if let Some(at) = registry.iter().position(|c| Arc::ptr_eq(c, cache)) {
-            registry.remove(at);
+            registry.swap_remove(at);
             self.inner.released.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -676,11 +577,7 @@ impl CacheScope {
     /// caches are the long-lived, widely shared ones (a sweep's honest
     /// baseline), which is exactly the donor a misreport cell wants.
     fn seed_base(&self, topo: &Topology, costs: &CostVector) -> Option<Arc<RouteCache>> {
-        let pinned = self
-            .inner
-            .pinned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let pinned = self.pinned();
         let found = pinned
             .iter()
             .find(|base| base.topo == *topo && base.costs.one_node_delta(costs).is_some())
@@ -702,39 +599,9 @@ impl CacheScope {
         found
     }
 
-    /// Registry lookup: fingerprint pre-filter, full equality verify,
-    /// LRU promotion on hit.
-    fn lookup(&self, print: u64, topo: &Topology, costs: &CostVector) -> Option<Arc<RouteCache>> {
-        let mut registry = self
-            .inner
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let at = registry
-            .iter()
-            .position(|c| c.fingerprint == print && c.topo == *topo && c.costs == *costs)?;
-        let hit = registry.remove(at).expect("position just found");
-        registry.push_back(Arc::clone(&hit));
-        Some(hit)
-    }
-
-    /// Empties the scope, releasing every retained cache not otherwise
-    /// referenced. Hit/miss/eviction counters are preserved.
-    pub fn clear(&self) {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
     /// Number of caches currently retained.
     pub fn len(&self) -> usize {
-        self.inner
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.registry().len()
     }
 
     /// Whether the scope retains no caches.
@@ -747,19 +614,12 @@ impl CacheScope {
         self.inner.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that registered a fresh cache. In a well-scoped workload
-    /// this equals the number of distinct cost vectors the workload
-    /// produced — if it exceeds that, caches are being evicted and
-    /// silently recomputed (the registry-thrash bug this type exists to
-    /// prevent).
+    /// Lookups that registered a fresh cache. In a workload that releases
+    /// each cache only after its last use, this equals the number of
+    /// distinct cost vectors the workload produced — if it exceeds that,
+    /// caches are being dropped and silently recomputed.
     pub fn misses(&self) -> usize {
         self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Caches evicted to stay within the scope's capacity. Always zero
-    /// for [`CacheScope::unbounded`] scopes.
-    pub fn evictions(&self) -> usize {
-        self.inner.evictions.load(Ordering::Relaxed)
     }
 
     /// Misses answered with a cache [seeded](RouteCache::seeded_from)
@@ -787,15 +647,14 @@ impl CacheScope {
         self.inner.seed_delta_mismatch.load(Ordering::Relaxed)
     }
 
-    /// Caches dropped early by [`CacheScope::release`] (eager scopes
-    /// only; distinct from capacity `evictions`).
+    /// Caches dropped by [`CacheScope::release`].
     pub fn released(&self) -> usize {
         self.inner.released.load(Ordering::Relaxed)
     }
 
     /// High-water mark of simultaneously registered caches — the metric
-    /// eager release exists to bound: an eager sweep's peak tracks its
-    /// *concurrent* cells, not its total distinct cost vectors.
+    /// release exists to bound: a sweep's peak tracks its *concurrent*
+    /// cells, not its total distinct cost vectors.
     pub fn peak_len(&self) -> usize {
         self.inner.peak.load(Ordering::Relaxed)
     }
@@ -873,7 +732,7 @@ mod tests {
     #[test]
     fn seeded_cache_answers_are_identical_to_cold_caches() {
         let net = figure1();
-        let scope = CacheScope::unbounded();
+        let scope = CacheScope::eager();
         let base = scope.pin(&net.topology, &net.costs);
         assert!(!base.is_seeded(), "the pinned baseline is built cold");
         for (node, declared) in [(net.c, 5u64), (net.c, 0), (net.a, 1), (net.d, 40)] {
@@ -901,7 +760,7 @@ mod tests {
     #[test]
     fn seeding_requires_a_pinned_one_node_delta_base() {
         let net = figure1();
-        let scope = CacheScope::unbounded();
+        let scope = CacheScope::eager();
         // No pin yet: a one-node-delta vector still builds cold.
         let lied = net.costs.with_cost(net.c, Cost::new(5));
         let cold = scope.cache(&net.topology, &lied);
@@ -920,41 +779,6 @@ mod tests {
         let net = figure1();
         let base = Arc::new(RouteCache::new(net.topology.clone(), net.costs.clone()));
         let _ = RouteCache::seeded_from(&base, net.costs.clone());
-    }
-
-    #[test]
-    fn shared_returns_the_same_cache_for_equal_pairs() {
-        let net = figure1();
-        let a = RouteCache::shared(&net.topology, &net.costs);
-        let b = RouteCache::shared(&net.topology, &net.costs);
-        assert!(Arc::ptr_eq(&a, &b), "equal pairs share one cache");
-        // A different cost vector gets its own cache.
-        let lied = net.costs.with_cost(net.c, Cost::new(5));
-        let c = RouteCache::shared(&net.topology, &lied);
-        assert!(!Arc::ptr_eq(&a, &c), "distinct costs must not alias");
-        assert_eq!(c.path(net.x, net.z).expect("connected").cost().value(), 5);
-    }
-
-    #[test]
-    fn scoped_caches_are_isolated_from_the_global_registry() {
-        let net = figure1();
-        let scope = CacheScope::unbounded();
-        let scoped = scope.cache(&net.topology, &net.costs);
-        let global = RouteCache::shared(&net.topology, &net.costs);
-        assert!(
-            !Arc::ptr_eq(&scoped, &global),
-            "a run-scoped cache lives in its own registry"
-        );
-        // Identical answers regardless of which registry owns the cache.
-        assert_eq!(
-            scoped.path(net.x, net.z).map(|p| p.nodes().to_vec()),
-            global.path(net.x, net.z).map(|p| p.nodes().to_vec())
-        );
-        assert_eq!(scope.len(), 1);
-        assert_eq!(scope.misses(), 1);
-        let again = scope.cache(&net.topology, &net.costs);
-        assert!(Arc::ptr_eq(&scoped, &again));
-        assert_eq!(scope.hits(), 1);
     }
 
     #[test]
@@ -1003,64 +827,14 @@ mod tests {
     }
 
     #[test]
-    fn bounded_scope_evicts_least_recently_used() {
-        let net = figure1();
-        let scope = CacheScope::bounded(2);
-        let costs_a = net.costs.clone();
-        let costs_b = net.costs.with_cost(net.c, Cost::new(2));
-        let costs_c = net.costs.with_cost(net.c, Cost::new(3));
-        let a = scope.cache(&net.topology, &costs_a);
-        let _b = scope.cache(&net.topology, &costs_b);
-        // Touch A so B becomes the LRU entry, then insert C.
-        let a_again = scope.cache(&net.topology, &costs_a);
-        assert!(Arc::ptr_eq(&a, &a_again));
-        let _c = scope.cache(&net.topology, &costs_c);
-        assert_eq!(scope.len(), 2);
-        assert_eq!(scope.evictions(), 1, "B evicted, not A");
-        // A survives (hit); B was evicted (fresh miss).
-        let a_survivor = scope.cache(&net.topology, &costs_a);
-        assert!(Arc::ptr_eq(&a, &a_survivor), "recently-used entry survives");
-        let misses_before = scope.misses();
-        let _b_again = scope.cache(&net.topology, &costs_b);
-        assert_eq!(scope.misses(), misses_before + 1, "LRU entry was evicted");
-    }
-
-    #[test]
-    fn capacity_boundary_holds_exactly() {
-        let net = figure1();
-        let scope = CacheScope::bounded(1);
-        let lied = net.costs.with_cost(net.c, Cost::new(9));
-        let _ = scope.cache(&net.topology, &net.costs);
-        assert_eq!((scope.len(), scope.evictions()), (1, 0));
-        let _ = scope.cache(&net.topology, &lied);
-        assert_eq!((scope.len(), scope.evictions()), (1, 1));
-        // Unbounded scopes never evict.
-        let unbounded = CacheScope::unbounded();
-        for declared in 0..100u64 {
-            let costs = net.costs.with_cost(net.c, Cost::new(declared));
-            let _ = unbounded.cache(&net.topology, &costs);
-        }
-        assert_eq!(unbounded.len(), 100);
-        assert_eq!(unbounded.evictions(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity for at least one cache")]
-    fn zero_capacity_scope_rejected() {
-        let _ = CacheScope::bounded(0);
-    }
-
-    #[test]
     fn eager_release_drops_single_use_caches_immediately() {
         let net = figure1();
         let scope = CacheScope::eager();
-        assert!(scope.is_eager());
         let cache = scope.cache(&net.topology, &net.costs);
         assert_eq!(scope.len(), 1);
         scope.release(&cache);
         assert_eq!(scope.len(), 0, "single-use cache dropped at release");
         assert_eq!(scope.released(), 1);
-        assert_eq!(scope.evictions(), 0, "release is not a capacity eviction");
         // Looking the pair up again is a fresh (correct) miss.
         let again = scope.cache(&net.topology, &net.costs);
         assert!(!Arc::ptr_eq(&cache, &again));
@@ -1089,18 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn non_eager_scopes_ignore_release() {
-        let net = figure1();
-        for scope in [CacheScope::unbounded(), CacheScope::bounded(8)] {
-            assert!(!scope.is_eager());
-            let cache = scope.cache(&net.topology, &net.costs);
-            scope.release(&cache);
-            assert_eq!(scope.len(), 1, "release is a no-op off eager scopes");
-            assert_eq!(scope.released(), 0);
-        }
-    }
-
-    #[test]
     fn peak_len_tracks_high_water_mark() {
         let net = figure1();
         let scope = CacheScope::eager();
@@ -1116,14 +878,6 @@ mod tests {
             1,
             "serial release keeps one cache live at a time"
         );
-        // A non-eager scope accumulates instead.
-        let lingering = CacheScope::unbounded();
-        for declared in 1..=5u64 {
-            let costs = net.costs.with_cost(net.c, Cost::new(declared));
-            let cache = lingering.cache(&net.topology, &costs);
-            lingering.release(&cache);
-        }
-        assert_eq!(lingering.peak_len(), 5);
     }
 
     #[test]
@@ -1134,7 +888,7 @@ mod tests {
         // are resolved by the under-lock re-check) and consistent
         // answers throughout.
         let net = figure1();
-        let scope = CacheScope::unbounded();
+        let scope = CacheScope::eager();
         const VECTORS: u64 = 4;
         const THREADS: usize = 8;
         std::thread::scope(|s| {
@@ -1164,7 +918,6 @@ mod tests {
             VECTORS as usize,
             "no duplicate registrations"
         );
-        assert_eq!(scope.evictions(), 0);
         assert_eq!(
             scope.hits() + scope.misses(),
             THREADS * 20,
@@ -1266,16 +1019,17 @@ mod proptests {
             prop_assert_eq!(cache.avoid_trees_cached(), n * (n - 1));
         }
 
-        /// The shared registry never mixes up distinct pairs: interleaved
-        /// lookups under different cost vectors stay consistent.
+        /// A scope never mixes up distinct pairs: interleaved lookups
+        /// under different cost vectors stay consistent.
         #[test]
-        fn shared_registry_is_collision_safe(seed in 0u64..200, n in 4usize..10) {
+        fn scope_registry_is_collision_safe(seed in 0u64..200, n in 4usize..10) {
             let mut rng = StdRng::seed_from_u64(seed);
             let topo = random_biconnected(n, n / 2, &mut rng);
             let a = CostVector::random(n, 0, 10, &mut rng);
             let b = CostVector::random(n, 11, 20, &mut rng);
-            let ca = RouteCache::shared(&topo, &a);
-            let cb = RouteCache::shared(&topo, &b);
+            let scope = CacheScope::eager();
+            let ca = scope.cache(&topo, &a);
+            let cb = scope.cache(&topo, &b);
             prop_assert_eq!(ca.costs(), &a);
             prop_assert_eq!(cb.costs(), &b);
             for src in topo.nodes() {

@@ -82,47 +82,6 @@ pub fn lcp_tree_avoiding(
     best
 }
 
-/// The lowest-cost path from `src` to `dst`, or `None` if unreachable.
-///
-/// Deprecated: a single-pair query has no business cloning a whole tree's
-/// worth of work. The borrow-based [`RouteCache::path`] is the only
-/// implementation now — this wrapper consults the shared cache and clones
-/// the one path at the edge, purely for signature compatibility.
-///
-/// [`RouteCache::path`]: crate::cache::RouteCache::path
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteCache::shared(topo, costs).path(src, dst)` and borrow the path"
-)]
-pub fn lcp(topo: &Topology, costs: &CostVector, src: NodeId, dst: NodeId) -> Option<PathMetric> {
-    crate::cache::RouteCache::shared(topo, costs)
-        .path(src, dst)
-        .cloned()
-}
-
-/// The lowest-cost path from `src` to `dst` avoiding `avoid` entirely.
-///
-/// Deprecated: see [`lcp`]; the borrow-based replacement is
-/// [`RouteCache::path_avoiding`](crate::cache::RouteCache::path_avoiding).
-///
-/// # Panics
-///
-/// Panics if `avoid` equals `src` or `dst` (the VCG query only ever avoids
-/// intermediate nodes).
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteCache::shared(topo, costs).path_avoiding(src, dst, avoid)` and borrow the path"
-)]
-pub fn lcp_avoiding(
-    topo: &Topology,
-    costs: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    avoid: NodeId,
-) -> Option<PathMetric> {
-    crate::cache::RouteCache::shared(topo, costs).path_avoiding(src, dst, avoid)
-}
-
 /// All-pairs lowest-cost paths: `result[src][dst]`.
 pub fn all_pairs(topo: &Topology, costs: &CostVector) -> Vec<Vec<Option<PathMetric>>> {
     topo.nodes().map(|src| lcp_tree(topo, costs, src)).collect()
@@ -130,15 +89,18 @@ pub fn all_pairs(topo: &Topology, costs: &CostVector) -> Vec<Vec<Option<PathMetr
 
 #[cfg(test)]
 mod tests {
-    // The deprecated single-pair wrappers stay covered until their removal.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::cache::RouteCache;
     use crate::generators::{figure1, ring};
     use specfaith_core::money::Cost;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// One entry of `src`'s LCP tree.
+    fn lcp(topo: &Topology, costs: &CostVector, src: NodeId, dst: NodeId) -> Option<PathMetric> {
+        lcp_tree(topo, costs, src)[dst.index()].clone()
     }
 
     #[test]
@@ -179,7 +141,9 @@ mod tests {
     fn avoiding_reroutes() {
         let net = figure1();
         // X to Z avoiding C must use A (cost 5) rather than D-C (cost 2).
-        let p = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.c).expect("biconnected");
+        let p = lcp_tree_avoiding(&net.topology, &net.costs, net.x, Some(net.c))[net.z.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.nodes(), &[net.x, net.a, net.z]);
         assert_eq!(p.cost(), Cost::new(5));
     }
@@ -236,29 +200,16 @@ mod tests {
     fn all_pairs_agrees_with_single_queries() {
         let net = figure1();
         let table = all_pairs(&net.topology, &net.costs);
+        let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
         for i in net.topology.nodes() {
             for j in net.topology.nodes() {
                 assert_eq!(
-                    table[i.index()][j.index()],
-                    lcp(&net.topology, &net.costs, i, j),
+                    table[i.index()][j.index()].as_ref(),
+                    routes.path(i, j),
                     "{i}->{j}"
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot avoid the source")]
-    fn avoid_source_rejected() {
-        let net = figure1();
-        let _ = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.x);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot avoid the destination")]
-    fn avoid_destination_rejected() {
-        let net = figure1();
-        let _ = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.z);
     }
 
     #[test]
@@ -272,8 +223,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::generators::random_biconnected;
     use proptest::prelude::*;
@@ -342,8 +291,9 @@ mod proptests {
             let costs = CostVector::random(n, 0, 20, &mut rng);
             let nodes: Vec<NodeId> = topo.nodes().collect();
             let (src, dst, avoid) = (nodes[0], nodes[1], nodes[2]);
-            let with = lcp(&topo, &costs, src, dst).expect("reachable");
-            let without = lcp_avoiding(&topo, &costs, src, dst, avoid)
+            let with = lcp_tree(&topo, &costs, src)[dst.index()].clone().expect("reachable");
+            let without = lcp_tree_avoiding(&topo, &costs, src, Some(avoid))[dst.index()]
+                .clone()
                 .expect("biconnected implies an avoiding path exists");
             prop_assert!(without.cost() >= with.cost());
             prop_assert!(!without.contains(avoid));

@@ -30,7 +30,7 @@
 //! use specfaith_graph::generators::figure1;
 //!
 //! let net = figure1();
-//! let routes = RouteCache::shared(&net.topology, &net.costs);
+//! let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
 //! // The paper: "the total LCP cost of sending a packet from X to Z is 2".
 //! let path = routes.path(net.x, net.z).expect("connected");
 //! assert_eq!(path.cost().value(), 2);

@@ -42,7 +42,7 @@ fn main() {
     );
     for declared in 0..=8u64 {
         let lied = net.costs.with_cost(net.c, Cost::new(declared));
-        let routes = RouteCache::shared(&net.topology, &lied);
+        let routes = RouteCache::new(net.topology.clone(), lied);
         let mut naive = 0i64;
         let mut vcg = 0i64;
         let mut on_xz = false;
@@ -56,7 +56,7 @@ fn main() {
             }
             // Naive: paid the declared cost; VCG: paid the pivot price.
             naive += (declared as i64 - true_c) * packets as i64;
-            let p = vcg_payment(&net.topology, &lied, src, dst, net.c).expect("on LCP");
+            let p = vcg_payment(&routes, src, dst, net.c).expect("on LCP");
             vcg += (p.value() - true_c) * packets as i64;
         }
         println!(

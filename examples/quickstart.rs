@@ -7,6 +7,7 @@
 //! ```
 
 use specfaith::fpss::pricing::vcg_payment;
+use specfaith::graph::cache::RouteCache;
 use specfaith::graph::lcp::lcp_tree;
 use specfaith::prelude::*;
 
@@ -32,9 +33,9 @@ fn main() {
     }
 
     println!("\n== VCG payments for the X -> Z flow ==");
+    let routes = RouteCache::new(net.topology.clone(), net.costs.clone());
     for k in [net.d, net.c] {
-        let p =
-            vcg_payment(&net.topology, &net.costs, net.x, net.z, k).expect("k is on the X->Z LCP");
+        let p = vcg_payment(&routes, net.x, net.z, k).expect("k is on the X->Z LCP");
         println!(
             "  transit {} is paid {} per packet (declared cost {})",
             name(k),

@@ -79,10 +79,4 @@ pub mod prelude {
     pub use specfaith_graph::generators::{figure1, random_biconnected};
     pub use specfaith_graph::topology::Topology;
     pub use specfaith_netsim::Latency;
-
-    // Deprecated one-mechanism builders, re-exported for one release.
-    #[allow(deprecated)]
-    pub use specfaith_faithful::harness::FaithfulSim;
-    #[allow(deprecated)]
-    pub use specfaith_fpss::runner::PlainFpssSim;
 }

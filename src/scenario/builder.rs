@@ -9,7 +9,6 @@ use specfaith_faithful::harness::FaithfulConfig;
 use specfaith_fpss::runner::{PlainConfig, ReferenceCheck};
 use specfaith_fpss::settle::SettlementConfig;
 use specfaith_fpss::traffic::{Flow, TrafficMatrix};
-use specfaith_graph::cache::CacheScope;
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::generators;
 use specfaith_graph::topology::Topology;
@@ -245,7 +244,6 @@ pub struct ScenarioBuilder {
     settlement: SettlementConfig,
     max_events: Option<u64>,
     instance_seed: u64,
-    route_scope: Option<CacheScope>,
     reference_check: ReferenceCheck,
 }
 
@@ -263,7 +261,6 @@ impl Default for ScenarioBuilder {
             settlement: SettlementConfig::default(),
             max_events: None,
             instance_seed: 0,
-            route_scope: None,
             reference_check: ReferenceCheck::Full,
         }
     }
@@ -393,16 +390,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the route-cache scope the scenario's runs draw from.
-    /// Defaults to a scenario-owned bounded scope (dropped with the
-    /// scenario); sweeps always substitute a sweep-scoped registry of
-    /// their own regardless of this setting.
-    #[must_use]
-    pub fn route_scope(mut self, scope: CacheScope) -> Self {
-        self.route_scope = Some(scope);
-        self
-    }
-
     /// Sets how runs compare converged tables against the centralized
     /// VCG reference: [`ReferenceCheck::Full`] (default) verifies every
     /// node; [`ReferenceCheck::Sampled`] verifies a deterministic sample
@@ -450,13 +437,8 @@ impl ScenarioBuilder {
         }
         let traffic = self.traffic.materialize(n, &mut rng);
 
-        // Each scenario owns its route caches: an explicit scope when the
-        // builder was given one, otherwise a scenario-scoped registry
-        // (bounded like the old process-wide default, but private — two
-        // scenarios can never evict each other's caches, and the memory
-        // dies with the scenario). Sweeps substitute a sweep-scoped
-        // registry on top of this.
-        let routes = self.route_scope.unwrap_or_else(|| CacheScope::bounded(64));
+        // Each scenario owns its route caches through the engine config's
+        // own scope; sweeps substitute a sweep-scoped registry on top.
         let engine = match &self.mechanism {
             Mechanism::Plain => {
                 let mut config = PlainConfig::new(topo, costs, traffic);
@@ -464,7 +446,6 @@ impl ScenarioBuilder {
                 config.network = self.network.clone();
                 config.dynamics = self.dynamics.clone();
                 config.settlement = self.settlement;
-                config.routes = routes;
                 config.reference_check = self.reference_check;
                 if let Some(max_events) = self.max_events {
                     config.max_events = max_events;
@@ -485,7 +466,6 @@ impl ScenarioBuilder {
                 config.max_restarts = *max_restarts;
                 config.progress_value = *progress_value;
                 config.settlement = *settlement;
-                config.routes = routes;
                 config.reference_check = self.reference_check;
                 if let Some(max_events) = self.max_events {
                     config.max_events = max_events;

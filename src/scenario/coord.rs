@@ -1753,12 +1753,9 @@ fn worker_inner(
     addr: &CoordAddr,
     config: WorkerConfig,
 ) -> Result<WorkerSummary, WorkerError> {
-    // Same cache discipline as a shard job: a fresh eager scope with
-    // the honest cache pinned for the worker's lifetime.
+    // Same cache discipline as a shard job: a fresh scope, in which the
+    // honest baselines pin the true-cost cache for the worker's lifetime.
     let scenario = scenario.with_route_scope(CacheScope::eager());
-    let _ = scenario
-        .route_scope()
-        .pin(scenario.topology(), scenario.costs());
     let manifest = GridManifest::sampled(&scenario, seeds, catalog, agents, instance);
     let specs = manifest.deviations.clone();
 

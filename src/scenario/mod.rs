@@ -41,10 +41,9 @@
 //! assert!(report.is_ex_post_nash());
 //! ```
 //!
-//! The deprecated `PlainFpssSim` / `FaithfulSim` builders are thin
-//! adapters over the same engines ([`specfaith_fpss::runner`] and
-//! [`specfaith_faithful::harness`]) and will be removed one release after
-//! 0.2.
+//! Every scenario carries a [`CacheScope`] for its runs' reference
+//! checks; sweeps, shards, coordinator workers and stream sessions each
+//! substitute a fresh one of their own.
 
 mod builder;
 mod coord;
@@ -60,7 +59,9 @@ pub use coord::{
     WorkerError, WorkerStats, WorkerSummary, COORD_FORMAT,
 };
 pub use report::{MechanismOutcome, RunReport, SweepReport};
-pub use shard::{FragmentCell, MergeError, ShardSpec, ShardTiming, SweepFragment, FRAGMENT_FORMAT};
+pub use shard::{
+    FragmentCell, Json, MergeError, ShardSpec, ShardTiming, SweepFragment, FRAGMENT_FORMAT,
+};
 pub use specfaith_fpss::runner::ReferenceCheck;
 pub use specfaith_graph::cache::CacheScope;
 pub use specfaith_netsim::{Dynamics, NetModel, TopologyEvent};
@@ -272,21 +273,17 @@ impl Scenario {
     /// thread count.
     ///
     /// The sweep owns its route caches: every cell draws from one fresh
-    /// sweep-scoped [`CacheScope`] (never the process-wide registry), so
-    /// the cells of this sweep can neither evict each other's caches nor
-    /// be evicted by concurrent workloads, and all cache memory is
-    /// released when the sweep returns.
-    ///
-    /// The default scope is **eager** ([`CacheScope::eager`]): a
-    /// misreport cell's single-use cache is dropped as soon as the cell's
-    /// reference check completes, so peak cache memory tracks the
+    /// sweep-scoped [`CacheScope`], so concurrent workloads cannot touch
+    /// the caches, and all cache memory is released when the sweep
+    /// returns.
+    /// A misreport cell's single-use cache is dropped as soon as the
+    /// cell's reference check completes, so peak cache memory tracks the
     /// *concurrent* cells (roughly 2 MB/cell at `n = 64` times the thread
     /// count) instead of every distinct declared-cost vector of the sweep
-    /// (~1.5 GB for the full-catalog standard sweep before eager
-    /// release). The honest-declaration cache all non-misreporting cells
-    /// share is pinned for the sweep's lifetime. Results are byte-
-    /// identical to any other scope choice. Callers who want different
-    /// retention pass a scope to [`Scenario::sweep_scoped`].
+    /// (~1.5 GB for the full-catalog standard sweep if all were kept).
+    /// The honest baselines pin the true-cost cache that all
+    /// non-misreporting cells share and every misreport cell's cache is
+    /// repaired from.
     pub fn sweep(&self, seeds: &[u64], catalog: &Catalog) -> SweepReport {
         self.sweep_scoped(seeds, catalog, &CacheScope::eager())
     }
@@ -294,7 +291,7 @@ impl Scenario {
     /// [`Scenario::sweep`] drawing route caches from a caller-provided
     /// scope — for callers that sweep repeatedly over the same instance
     /// (keep the scope alive to share reference tables across sweeps) or
-    /// that assert on cache behavior (hits, misses, evictions).
+    /// that assert on cache behavior (hits, misses, releases).
     pub fn sweep_scoped(
         &self,
         seeds: &[u64],
@@ -417,6 +414,27 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_share_the_pinned_true_cost_cache_and_seed_misreports_from_it() {
+        use specfaith_fpss::deviation::MisreportCost;
+        let scenario = Scenario::builder().build();
+        let scope = scenario.route_scope();
+        for _ in 0..3 {
+            let _ = scenario.run(7);
+        }
+        assert_eq!(scope.misses(), 1, "the first run registers the cache");
+        assert_eq!(scope.hits(), 2, "later runs reuse it");
+        assert_eq!(scope.len(), 1);
+        let c = NodeId::from_index(2);
+        let _ = scenario.run_with_deviant(c, Box::new(MisreportCost { delta: 2 }), 7);
+        assert_eq!(
+            scope.seeded(),
+            1,
+            "the misreport's cache is repaired from the pinned one"
+        );
+        assert_eq!(scope.len(), 1, "and released after its check");
+    }
 
     #[test]
     fn mechanism_default_constructor_matches_engine_defaults() {

@@ -673,12 +673,6 @@ pub(super) fn run_shard(
     instance: &str,
 ) -> SweepFragment {
     let specs = catalog.specs();
-    // Unconditional pin, exactly as in `sweep_agents`: protects the
-    // honest cache from eager release and marks it as the seed base that
-    // misreport cells repair their caches from.
-    let _ = scenario
-        .route_scope()
-        .pin(scenario.topology(), scenario.costs());
     let started = Instant::now();
     let baselines: Vec<Arc<CellResult>> = seeds
         .par_iter()
@@ -832,24 +826,41 @@ pub(crate) fn json_string(text: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON reader. The offline dependency set has no serde; this
-// covers exactly the documents this workspace writes (and tolerates
-// hand-edited whitespace/unknown keys). Integers parse exactly (i128
-// accumulator), so u64 seeds and i64 utilities round-trip losslessly.
 
+/// A parsed JSON value: the one reader behind sweep fragments,
+/// coordinator frames and the bench tools' baseline files.
+///
+/// The offline dependency set has no serde; this covers exactly the
+/// documents this workspace writes (and tolerates hand-edited
+/// whitespace and unknown keys). Integers parse exactly (i128
+/// accumulator), so u64 seeds and i64 utilities round-trip losslessly.
+/// Every accessor fails closed with an error naming what it expected.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Json {
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
+    /// A number without fraction or exponent.
     Int(i128),
+    /// Any other number.
     Float(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
+    /// An object, keys in document order.
     Obj(Vec<(String, Json)>),
 }
 
 impl Json {
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
+    /// Parses one complete JSON document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first syntax error, of trailing
+    /// content, or of nesting deeper than the reader accepts.
+    pub fn parse(text: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             at: 0,
@@ -876,6 +887,15 @@ impl Json {
         }
     }
 
+    /// The value under `key` of this object.
+    ///
+    /// # Errors
+    ///
+    /// Fails when this is not an object or has no `key`, naming the key.
+    pub fn get(&self, key: &str) -> Result<&Json, String> {
+        get(self.as_object("document")?, key)
+    }
+
     pub(crate) fn as_object(&self, what: &str) -> Result<&[(String, Json)], String> {
         match self {
             Json::Obj(entries) => Ok(entries),
@@ -893,7 +913,8 @@ impl Json {
         }
     }
 
-    pub(crate) fn as_str(&self, what: &str) -> Result<&str, String> {
+    /// This string; `what` names the value in the error.
+    pub fn as_str(&self, what: &str) -> Result<&str, String> {
         match self {
             Json::Str(text) => Ok(text),
             other => Err(format!(
@@ -932,7 +953,9 @@ impl Json {
         usize::try_from(self.as_i128(what)?).map_err(|_| format!("{what}: out of usize range"))
     }
 
-    pub(crate) fn as_f64(&self, what: &str) -> Result<f64, String> {
+    /// This number (integer or not) as an `f64`; `what` names the value
+    /// in the error.
+    pub fn as_f64(&self, what: &str) -> Result<f64, String> {
         match self {
             Json::Int(value) => Ok(*value as f64),
             Json::Float(value) => Ok(*value),

@@ -7,11 +7,11 @@
 //! the same immutable baseline instead of re-deriving it. Every sweep
 //! owns a fresh sweep-scoped
 //! [`CacheScope`](specfaith_graph::cache::CacheScope) threaded through
-//! all of its cells: the baselines warm it with the honest declared-cost
-//! vector's [`RouteCache`](specfaith_graph::cache::RouteCache) before the
-//! fan-out, each distinct misreported vector is registered exactly once
-//! (never evicted — the scope is unbounded and dies with the sweep), and
-//! concurrent workloads cannot interfere with it.
+//! all of its cells: the baselines pin the honest declared-cost vector's
+//! [`RouteCache`](specfaith_graph::cache::RouteCache) before the fan-out,
+//! so every misreport cell's cache is repaired from it, registered once,
+//! and released when its cell completes; concurrent workloads cannot
+//! interfere with the scope.
 //!
 //! **Phase 2** evaluates the deviation cells. Every cell is an
 //! independent, deterministic simulator run, so evaluation order cannot
@@ -256,19 +256,11 @@ pub(super) fn sweep_agents(
     parallel: bool,
 ) -> SweepReport {
     let specs = catalog.specs();
-    // Pin the honest-declaration cache — shared by the baselines and
-    // every non-misreporting cell — before any cell runs. On eager
-    // scopes this keeps per-cell release (which drops each misreport
-    // cell's single-use cache as the cell completes) from thrashing it;
-    // on every scope it marks the baseline as the seed base, so each
-    // misreport cell's cache repairs the baseline's trees against its
-    // one-node declaration delta instead of rebuilding them from scratch.
-    let _ = scenario
-        .route_scope()
-        .pin(scenario.topology(), scenario.costs());
     // Phase 1: one honest baseline per seed, shared immutably with every
-    // cell of that seed's row (and warming the scenario's route-cache
-    // scope for plain scenarios before the fan-out).
+    // cell of that seed's row. Each baseline pins the true-cost cache in
+    // the scenario's scope before any cell runs, so release never
+    // thrashes it and each misreport cell's cache repairs its trees
+    // against a one-node declaration delta instead of rebuilding them.
     let baselines: Vec<Arc<CellResult>> = if parallel {
         seeds
             .par_iter()
@@ -374,16 +366,11 @@ mod tests {
         assert_eq!(report.faithful_utilities, baseline.utilities);
     }
 
-    #[test]
-    fn sweeps_own_their_caches_and_never_evict() {
-        // Regression test for the registry-thrash bug: a sweep's
-        // misreport cells each declare a distinct cost vector, and under
-        // the old process-wide LRU registry enough of them silently
-        // evicted each other's caches and recomputed Dijkstra trees.
-        // A sweep-scoped registry must register each distinct vector
-        // exactly once (misses == distinct vectors — a thrashing
-        // registry shows more), evict nothing, and serve every repeat
-        // lookup from cache.
+    /// The 12-node instance the cache-counter tests sweep, with two
+    /// misreports (distinct positive deltas: every cell's declared vector
+    /// is unique) plus one declaration-preserving deviation (its cells
+    /// all share the honest baseline's cache).
+    fn twelve_node_sweep(mechanism: Mechanism) -> (Scenario, Catalog) {
         use specfaith_fpss::deviation::{DropTransitPackets, MisreportCost};
         let scenario = Scenario::builder()
             .topology(crate::scenario::TopologySource::RandomBiconnected {
@@ -392,12 +379,9 @@ mod tests {
             })
             .costs(crate::scenario::CostModel::Random { lo: 1, hi: 9 })
             .traffic(TrafficModel::single_by_index(0, 7, 2))
+            .mechanism(mechanism)
             .instance_seed(5)
             .build();
-        let n = scenario.num_nodes();
-        // Two misreports (distinct positive deltas: every cell's declared
-        // vector is unique) plus one declaration-preserving deviation
-        // (its cells all share the honest baseline's cache).
         let catalog = Catalog::from_factory(|_| {
             vec![
                 Box::new(MisreportCost { delta: 1 }),
@@ -405,23 +389,32 @@ mod tests {
                 Box::new(DropTransitPackets),
             ]
         });
-        let scope = crate::scenario::CacheScope::unbounded();
+        (scenario, catalog)
+    }
+
+    #[test]
+    fn sweeps_own_their_caches_and_never_evict() {
+        // Regression test for registry thrash: a sweep's misreport cells
+        // each declare a distinct cost vector, and a registry that drops
+        // caches before their last use silently recomputes Dijkstra
+        // trees. A sweep-scoped registry must register each distinct
+        // vector exactly once (misses == distinct vectors — a thrashing
+        // registry shows more) and serve every repeat lookup from cache.
+        let (scenario, catalog) = twelve_node_sweep(Mechanism::Plain);
+        let n = scenario.num_nodes();
+        let scope = crate::scenario::CacheScope::eager();
         let report = scenario.sweep_scoped(&[3], &catalog, &scope);
         assert_eq!(report.total_deviations(), n * 3);
-        let distinct_vectors = 1 + 2 * n; // honest + (agent × misreport)
         assert_eq!(
             scope.misses(),
-            distinct_vectors,
+            1 + 2 * n, // honest + (agent × misreport)
             "every distinct declared-cost vector registered exactly once"
         );
-        assert_eq!(scope.evictions(), 0, "sweep scopes never evict");
         assert_eq!(
             scope.hits(),
-            n + 1, // the baseline and the declaration-preserving cells
-            // reuse the honest cache the sweep's pre-sweep pin registered
-            "declaration-preserving cells must share the baseline's cache"
+            n,
+            "declaration-preserving cells must share the cache the baseline pinned"
         );
-        assert_eq!(scope.len(), distinct_vectors);
         assert_eq!(
             scope.seeded(),
             2 * n,
@@ -431,64 +424,52 @@ mod tests {
 
     #[test]
     fn eager_scope_releases_per_cell_caches_without_changing_results() {
-        // The eager-eviction satellite: the same sweep on an eager scope
-        // must (a) produce byte-identical reports, (b) end with only the
-        // pinned honest cache registered, having released every misreport
-        // cell's single-use cache as its cell completed, and (c) keep the
-        // peak registration strictly below the retain-everything total.
-        use specfaith_fpss::deviation::{DropTransitPackets, MisreportCost};
-        let scenario = Scenario::builder()
-            .topology(crate::scenario::TopologySource::RandomBiconnected {
-                n: 12,
-                extra_edges: 4,
-            })
-            .costs(crate::scenario::CostModel::Random { lo: 1, hi: 9 })
-            .traffic(TrafficModel::single_by_index(0, 7, 2))
-            .instance_seed(5)
-            .build();
-        let n = scenario.num_nodes();
-        let catalog = Catalog::from_factory(|_| {
-            vec![
-                Box::new(MisreportCost { delta: 1 }),
-                Box::new(MisreportCost { delta: 2 }),
-                Box::new(DropTransitPackets),
-            ]
-        });
-        let lingering = crate::scenario::CacheScope::unbounded();
-        let reference = scenario.sweep_scoped(&[3], &catalog, &lingering);
-        let eager = crate::scenario::CacheScope::eager();
-        let released = scenario.sweep_scoped(&[3], &catalog, &eager);
-        assert_eq!(released, reference, "eager release changes no result");
-        let distinct_vectors = 1 + 2 * n;
-        assert_eq!(
-            eager.misses(),
-            distinct_vectors,
-            "eager release never forces a recompute in this sweep"
-        );
-        assert_eq!(
-            eager.len(),
-            1,
-            "only the pinned honest cache survives the sweep"
-        );
-        assert_eq!(
-            eager.released(),
-            2 * n,
-            "every misreport cell's cache released at cell completion"
-        );
-        assert_eq!(
-            eager.seeded(),
-            2 * n,
-            "released-and-reseeded cells still repair from the pinned baseline"
-        );
-        // Parallel peak is nondeterministic but bounded by concurrency;
-        // retaining everything would show distinct_vectors.
-        assert!(
-            eager.peak_len() < distinct_vectors,
-            "peak {} must undercut the retain-everything total {}",
-            eager.peak_len(),
-            distinct_vectors
-        );
-        assert_eq!(lingering.len(), distinct_vectors, "non-eager retains all");
+        // Under both mechanisms the parallel sweep must (a) reproduce the
+        // serial report, whose cells release their caches one at a time,
+        // (b) end with only the pinned honest cache registered, having
+        // released every misreport cell's single-use cache as its cell
+        // completed, and (c) keep the peak registration strictly below
+        // the retain-everything total.
+        for mechanism in [Mechanism::Plain, Mechanism::faithful()] {
+            let (scenario, catalog) = twelve_node_sweep(mechanism.clone());
+            let n = scenario.num_nodes();
+            let scope = crate::scenario::CacheScope::eager();
+            let released = scenario.sweep_scoped(&[3], &catalog, &scope);
+            assert_eq!(
+                released,
+                scenario.sweep_serial(&[3], &catalog),
+                "{mechanism:?}: release timing changes no result"
+            );
+            let distinct_vectors = 1 + 2 * n;
+            assert_eq!(
+                scope.misses(),
+                distinct_vectors,
+                "{mechanism:?}: release never forces a recompute in this sweep"
+            );
+            assert_eq!(
+                scope.len(),
+                1,
+                "{mechanism:?}: only the pinned honest cache survives the sweep"
+            );
+            assert_eq!(
+                scope.released(),
+                2 * n,
+                "{mechanism:?}: every misreport cell's cache released at cell completion"
+            );
+            assert_eq!(
+                scope.seeded(),
+                2 * n,
+                "{mechanism:?}: released-and-reseeded cells still repair from the pinned baseline"
+            );
+            // Parallel peak is nondeterministic but bounded by concurrency;
+            // retaining everything would show distinct_vectors.
+            assert!(
+                scope.peak_len() < distinct_vectors,
+                "{mechanism:?}: peak {} must undercut the retain-everything total {}",
+                scope.peak_len(),
+                distinct_vectors
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The large-n workload, scaled down to test size: the sparse presets
 //! build and converge, reference checks can be destination-sampled, the
 //! avoid-tree index stays proportional to queries even at n = 1024, and
-//! run-scoped caches are byte-identical to the global-registry path.
+//! sampled reference checks observe the same runs as full ones.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,30 +31,22 @@ fn large_presets_build_and_converge() {
     assert_eq!(run.tables_match_centralized(), Some(true));
 }
 
-/// Run-scoped caches and the sampled reference check change nothing
-/// observable about a preset run (the large-n pin, plain engine).
+/// The sampled reference check changes nothing observable about a
+/// preset run (the large-n pin, plain engine).
 #[test]
-fn scoped_and_sampled_runs_match_the_full_global_path() {
-    let build = |check: ReferenceCheck, scope: CacheScope| {
+fn sampled_reference_runs_match_full_reference_runs() {
+    let build = |check: ReferenceCheck| {
         ScenarioBuilder::large_scale_free(48)
             .instance_seed(3)
             .reference_check(check)
-            .route_scope(scope)
             .build()
     };
-    let full_global = build(ReferenceCheck::Full, CacheScope::global()).run(2);
-    let sampled_scoped = build(
-        ReferenceCheck::Sampled { sources: 8 },
-        CacheScope::unbounded(),
-    )
-    .run(2);
-    assert_eq!(full_global.utilities, sampled_scoped.utilities);
-    assert_eq!(
-        full_global.stats.total_msgs(),
-        sampled_scoped.stats.total_msgs()
-    );
-    assert_eq!(full_global.tables_match_centralized(), Some(true));
-    assert_eq!(sampled_scoped.tables_match_centralized(), Some(true));
+    let full = build(ReferenceCheck::Full).run(2);
+    let sampled = build(ReferenceCheck::Sampled { sources: 8 }).run(2);
+    assert_eq!(full.utilities, sampled.utilities);
+    assert_eq!(full.stats.total_msgs(), sampled.stats.total_msgs());
+    assert_eq!(full.tables_match_centralized(), Some(true));
+    assert_eq!(sampled.tables_match_centralized(), Some(true));
 }
 
 /// An agent-sampled sweep at preset scale: cells evaluate, cells are

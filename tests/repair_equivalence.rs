@@ -100,7 +100,7 @@ proptest! {
         let changed = NodeId::from_index(seed as usize % n);
         let declared = costs.cost(changed).value().saturating_add_signed(delta);
         let lied = costs.with_cost(changed, Cost::new(declared));
-        let scope = CacheScope::unbounded();
+        let scope = CacheScope::eager();
         let _ = scope.pin(&topo, &costs);
         let seeded = scope.cache(&topo, &lied);
         let cold = RouteCache::new(topo.clone(), lied.clone());
@@ -144,7 +144,7 @@ fn repair_seeded_sweep_cells_match_cold_built_cells() {
             .map(|&delta| Box::new(MisreportCost { delta }) as _)
             .collect()
     });
-    let seeded_scope = CacheScope::unbounded();
+    let seeded_scope = CacheScope::eager();
     let report = scenario.sweep_scoped(&[9], &catalog, &seeded_scope);
     assert_eq!(
         seeded_scope.seeded(),
@@ -156,7 +156,7 @@ fn repair_seeded_sweep_cells_match_cold_built_cells() {
     for outcome in &per_seed.outcomes {
         // Cold rebuild of the same cell: fresh unbounded scope, no pinned
         // baseline, so every cache is built by fresh Dijkstra.
-        let cold_scope = CacheScope::unbounded();
+        let cold_scope = CacheScope::eager();
         let cold = scenario.with_route_scope(cold_scope.clone());
         let deviation_index = deltas
             .iter()
