@@ -213,7 +213,11 @@ impl FpssCore {
                 });
             }
         }
-        self.routes = new_routes;
+        // Keep the installed table, and its digest memo, when nothing
+        // changed: no row differs and no row was dropped.
+        if !changed_routes.is_empty() || new_routes.len() != self.routes.len() {
+            self.routes = new_routes;
+        }
         let new_prices = install_pricing(recompute_prices(
             self.me,
             &self.neighbors,

@@ -1,12 +1,51 @@
 //! The per-node data of FPSS §4.1: DATA1–DATA4, with canonical bank hashes.
+//!
+//! DATA1, DATA2 and DATA3\* each memoize their canonical digest. Every
+//! `&mut` method that changes a table's content clears its memo, and a
+//! call that leaves the content as it was keeps it. So a streamed event,
+//! or a bank checkpoint, hashes only the tables that changed since their
+//! last digest. The memo is not content: it is cloned with its table and
+//! ignored by equality.
 
 use crate::msg::{PriceRow, RouteRow};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
 use specfaith_crypto::tablehash::TableHasher;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
+
+/// A table's memoized canonical digest. Every memo compares equal to
+/// every other, and all print alike, so the tables can derive equality
+/// and `Debug` from content.
+#[derive(Clone, Default)]
+struct DigestMemo(OnceLock<Digest>);
+
+impl fmt::Debug for DigestMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("DigestMemo")
+    }
+}
+
+impl DigestMemo {
+    fn get_or(&self, compute: impl FnOnce() -> Digest) -> Digest {
+        *self.0.get_or_init(compute)
+    }
+
+    fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl PartialEq for DigestMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DigestMemo {}
 
 /// \[DATA1\] Transit-cost list: this node's knowledge of declared transit
 /// costs across the network, filled by the phase-1 flood.
@@ -21,6 +60,7 @@ pub struct TransitCostList {
     /// `None`s, which never affect equality or iteration.
     costs: Vec<Option<Cost>>,
     known: usize,
+    digest: DigestMemo,
 }
 
 impl TransitCostList {
@@ -42,6 +82,7 @@ impl TransitCostList {
         }
         self.costs[at] = Some(declared);
         self.known += 1;
+        self.digest.clear();
         true
     }
 
@@ -60,6 +101,7 @@ impl TransitCostList {
             self.known += 1;
         }
         self.costs[at] = Some(declared);
+        self.digest.clear();
         true
     }
 
@@ -72,6 +114,7 @@ impl TransitCostList {
             Some(slot @ Some(_)) => {
                 *slot = None;
                 self.known -= 1;
+                self.digest.clear();
                 true
             }
             _ => false,
@@ -126,12 +169,15 @@ impl TransitCostList {
     }
 
     /// Canonical hash (for completeness; the bank compares DATA2/DATA3*).
+    /// Memoized until the list next changes.
     pub fn digest(&self) -> Digest {
-        let mut h = TableHasher::new("fpss/data1");
-        for (node, cost) in self.iter() {
-            h.put_u32(node.raw()).put_u64(cost.value()).row_boundary();
-        }
-        h.finish()
+        self.digest.get_or(|| {
+            let mut h = TableHasher::new("fpss/data1");
+            for (node, cost) in self.iter() {
+                h.put_u32(node.raw()).put_u64(cost.value()).row_boundary();
+            }
+            h.finish()
+        })
     }
 }
 
@@ -149,6 +195,7 @@ impl Eq for TransitCostList {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoutingTable {
     routes: BTreeMap<NodeId, Vec<NodeId>>,
+    digest: DigestMemo,
 }
 
 impl RoutingTable {
@@ -174,12 +221,17 @@ impl RoutingTable {
             return false;
         }
         self.routes.insert(dst, path);
+        self.digest.clear();
         true
     }
 
     /// Removes the route to `dst`, returning whether one was present.
     pub fn remove(&mut self, dst: NodeId) -> bool {
-        self.routes.remove(&dst).is_some()
+        let removed = self.routes.remove(&dst).is_some();
+        if removed {
+            self.digest.clear();
+        }
+        removed
     }
 
     /// Number of destinations with routes.
@@ -207,17 +259,20 @@ impl RoutingTable {
             .collect()
     }
 
-    /// Canonical hash compared by \[BANK1\].
+    /// Canonical hash compared by \[BANK1\]. Memoized until the table
+    /// next changes.
     pub fn digest(&self) -> Digest {
-        let mut h = TableHasher::new("fpss/data2");
-        for (dst, path) in &self.routes {
-            h.put_u32(dst.raw());
-            for v in path {
-                h.put_u32(v.raw());
+        self.digest.get_or(|| {
+            let mut h = TableHasher::new("fpss/data2");
+            for (dst, path) in &self.routes {
+                h.put_u32(dst.raw());
+                for v in path {
+                    h.put_u32(v.raw());
+                }
+                h.row_boundary();
             }
-            h.row_boundary();
-        }
-        h.finish()
+            h.finish()
+        })
     }
 }
 
@@ -237,6 +292,7 @@ pub struct PriceEntry {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PricingTable {
     entries: BTreeMap<(NodeId, NodeId), PriceEntry>,
+    digest: DigestMemo,
 }
 
 impl PricingTable {
@@ -287,18 +343,31 @@ impl PricingTable {
             .filter(|key| !new.entries.contains_key(*key))
             .copied()
             .collect();
-        self.entries = new.entries;
+        if !changed.is_empty() || !retracted.is_empty() {
+            // The new table's memo, if any, is a digest of this content.
+            *self = new;
+        }
         (changed, retracted)
     }
 
     /// Removes an entry, returning whether it was present.
     pub fn remove(&mut self, dst: NodeId, transit: NodeId) -> bool {
-        self.entries.remove(&(dst, transit)).is_some()
+        let removed = self.entries.remove(&(dst, transit)).is_some();
+        if removed {
+            self.digest.clear();
+        }
+        removed
     }
 
     /// Inserts a single entry (used by mirrors and tests).
     pub fn insert(&mut self, dst: NodeId, transit: NodeId, entry: PriceEntry) {
-        self.entries.insert((dst, transit), entry);
+        // One lookup: this builds every expected pricing table.
+        match self.entries.entry((dst, transit)) {
+            Entry::Occupied(slot) if *slot.get() == entry => return,
+            Entry::Occupied(mut slot) => *slot.get_mut() = entry,
+            Entry::Vacant(slot) => _ = slot.insert(entry),
+        }
+        self.digest.clear();
     }
 
     /// Iterates the transits currently priced for `dst`, in transit order.
@@ -337,18 +406,21 @@ impl PricingTable {
 
     /// Canonical hash compared by \[BANK2\]. Includes the identity tags —
     /// that inclusion is what catches spoofed pricing messages (§4.3).
+    /// Memoized until the table next changes.
     pub fn digest(&self) -> Digest {
-        let mut h = TableHasher::new("fpss/data3*");
-        for (&(dst, transit), entry) in &self.entries {
-            h.put_u32(dst.raw())
-                .put_u32(transit.raw())
-                .put_i64(entry.price.value());
-            for tag in &entry.tags {
-                h.put_u32(tag.raw());
+        self.digest.get_or(|| {
+            let mut h = TableHasher::new("fpss/data3*");
+            for (&(dst, transit), entry) in &self.entries {
+                h.put_u32(dst.raw())
+                    .put_u32(transit.raw())
+                    .put_i64(entry.price.value());
+                for tag in &entry.tags {
+                    h.put_u32(tag.raw());
+                }
+                h.row_boundary();
             }
-            h.row_boundary();
-        }
-        h.finish()
+            h.finish()
+        })
     }
 
     /// Ablation of the paper's DATA3* extension: the hash the *original*
@@ -558,6 +630,137 @@ mod tests {
         }
         assert_eq!(table.total_price_to(n(1)), Money::new(10));
         assert_eq!(table.total_price_to(n(9)), Money::ZERO);
+    }
+
+    /// A mutation and the table it should leave, built fresh.
+    type Step<T> = (fn(&mut T), T);
+
+    /// Fills `table`'s digest memo, applies each step, and checks the
+    /// result against the step's table built fresh: equal whatever either
+    /// memo holds, and with the same digest.
+    fn assert_memo_tracks<T: PartialEq + fmt::Debug>(
+        mut table: T,
+        digest: fn(&T) -> Digest,
+        steps: Vec<Step<T>>,
+    ) {
+        for (i, (mutate, fresh)) in steps.into_iter().enumerate() {
+            let _ = digest(&table);
+            mutate(&mut table);
+            assert_eq!(table, fresh, "step {i}: memos are not content");
+            assert_eq!(digest(&table), digest(&fresh), "step {i}");
+        }
+    }
+
+    fn data1(rows: &[(u32, u64)]) -> TransitCostList {
+        let mut list = TransitCostList::new();
+        for &(id, c) in rows {
+            list.learn(n(id), Cost::new(c));
+        }
+        list
+    }
+
+    fn routing(rows: &[(u32, &[u32])]) -> RoutingTable {
+        let mut table = RoutingTable::new();
+        for &(dst, path) in rows {
+            table.install(n(dst), path.iter().map(|&v| n(v)).collect());
+        }
+        table
+    }
+
+    fn entry(price: i64, tag: u32) -> PriceEntry {
+        PriceEntry {
+            price: Money::new(price),
+            tags: [n(tag)].into_iter().collect(),
+        }
+    }
+
+    /// A pricing table of `(dst, transit, price, tag)` rows.
+    fn pricing(rows: &[(u32, u32, i64, u32)]) -> PricingTable {
+        let mut table = PricingTable::new();
+        for &(dst, transit, price, tag) in rows {
+            table.insert(n(dst), n(transit), entry(price, tag));
+        }
+        table
+    }
+
+    #[test]
+    fn digest_memos_track_every_mutation() {
+        assert_memo_tracks(
+            data1(&[(1, 5)]),
+            TransitCostList::digest,
+            vec![
+                (
+                    |l| assert!(l.learn(n(3), Cost::new(2))),
+                    data1(&[(1, 5), (3, 2)]),
+                ),
+                (
+                    |l| assert!(!l.learn(n(3), Cost::new(9))),
+                    data1(&[(1, 5), (3, 2)]),
+                ),
+                (
+                    |l| assert!(l.update(n(1), Cost::new(7))),
+                    data1(&[(1, 7), (3, 2)]),
+                ),
+                (
+                    |l| assert!(!l.update(n(1), Cost::new(7))),
+                    data1(&[(1, 7), (3, 2)]),
+                ),
+                (|l| assert!(l.forget(n(3))), data1(&[(1, 7)])),
+                (|l| assert!(!l.forget(n(3))), data1(&[(1, 7)])),
+            ],
+        );
+        let both: &[(u32, &[u32])] = &[(1, &[0, 1]), (2, &[0, 1, 2])];
+        assert_memo_tracks(
+            routing(&[(1, &[0, 1])]),
+            RoutingTable::digest,
+            vec![
+                (
+                    |t| assert!(t.install(n(2), vec![n(0), n(1), n(2)])),
+                    routing(both),
+                ),
+                (
+                    |t| assert!(!t.install(n(2), vec![n(0), n(1), n(2)])),
+                    routing(both),
+                ),
+                (
+                    |t| assert!(t.install(n(2), vec![n(0), n(3), n(2)])),
+                    routing(&[(1, &[0, 1]), (2, &[0, 3, 2])]),
+                ),
+                (|t| assert!(t.remove(n(1))), routing(&[(2, &[0, 3, 2])])),
+                (|t| assert!(!t.remove(n(1))), routing(&[(2, &[0, 3, 2])])),
+            ],
+        );
+        let two = [(1, 2, 4, 3), (5, 2, 6, 1)];
+        assert_memo_tracks(
+            pricing(&[(1, 2, 4, 3)]),
+            PricingTable::digest,
+            vec![
+                (|t| t.insert(n(5), n(2), entry(6, 1)), pricing(&two)),
+                (|t| t.insert(n(5), n(2), entry(6, 1)), pricing(&two)),
+                (
+                    |t| t.insert(n(5), n(2), entry(6, 2)),
+                    pricing(&[(1, 2, 4, 3), (5, 2, 6, 2)]),
+                ),
+                (|t| assert!(t.remove(n(5), n(2))), pricing(&[(1, 2, 4, 3)])),
+                (|t| assert!(!t.remove(n(5), n(2))), pricing(&[(1, 2, 4, 3)])),
+                (
+                    |t| {
+                        let (changed, retracted) = t.replace(pricing(&[(1, 2, 4, 3)]));
+                        assert!(changed.is_empty() && retracted.is_empty());
+                    },
+                    pricing(&[(1, 2, 4, 3)]),
+                ),
+                (
+                    |t| {
+                        // A replacement whose own memo is already filled.
+                        let next = pricing(&[(1, 3, 9, 4)]);
+                        let _ = next.digest();
+                        assert_eq!(t.replace(next).1, vec![(n(1), n(2))]);
+                    },
+                    pricing(&[(1, 3, 9, 4)]),
+                ),
+            ],
+        );
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! to `n²`. At `n = 1024` a fully-dense table would be ~1M slots before a
 //! single query; the sparse index allocates nothing until asked.
 //!
+//! Both kinds of tree are held by [`Arc`], so a cache seeded from a donor
+//! ([`RouteCache::seeded_from`]) can share every donor tree its one-node
+//! cost delta provably leaves unchanged. The donor is only peeked for
+//! this and never made to compute. In a stream, where each generation is
+//! seeded from the one before, an event then pays only for the trees it
+//! touches; the rest pass from generation to generation by reference.
+//!
 //! # Scoping
 //!
 //! Every registry of caches is a [`CacheScope`], and every scope releases
@@ -54,7 +61,7 @@
 use crate::costs::CostVector;
 use crate::lcp::lcp_tree;
 use crate::path::PathMetric;
-use crate::repair::{repair_avoiding, repair_cost_change};
+use crate::repair::{cost_change_keeps, repair_avoiding, repair_cost_change};
 use crate::topology::Topology;
 use specfaith_core::id::NodeId;
 use std::collections::HashMap;
@@ -102,7 +109,8 @@ fn fingerprint(topo: &Topology, costs: &CostVector) -> u64 {
 /// lock, behind the slot's [`OnceLock`] (so two threads racing on one
 /// pair still compute it once, and threads on different pairs never
 /// serialize each other's Dijkstra runs).
-type AvoidShard = Mutex<HashMap<u64, Arc<OnceLock<AvoidTree>>>>;
+type AvoidSlots = HashMap<u64, Arc<OnceLock<AvoidTree>>>;
+type AvoidShard = Mutex<AvoidSlots>;
 
 struct SparseAvoidIndex {
     shards: Box<[AvoidShard]>,
@@ -119,14 +127,23 @@ impl SparseAvoidIndex {
         }
     }
 
+    fn shard(&self, key: u64) -> MutexGuard<'_, AvoidSlots> {
+        self.shards[key as usize % self.shards.len()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The slot for `key`, created if absent.
     fn slot(&self, key: u64) -> Arc<OnceLock<AvoidTree>> {
-        let shard = &self.shards[key as usize % self.shards.len()];
-        let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_insert_with(|| {
+        Arc::clone(self.shard(key).entry(key).or_insert_with(|| {
             self.entries.fetch_add(1, Ordering::Relaxed);
             Arc::new(OnceLock::new())
         }))
+    }
+
+    /// The tree for `key` if it is already computed. Never creates a slot.
+    fn peek(&self, key: u64) -> Option<AvoidTree> {
+        self.shard(key).get(&key)?.get().cloned()
     }
 
     /// Number of `(src, avoid)` pairs with a slot (every queried pair,
@@ -151,21 +168,25 @@ pub struct RouteCache {
     topo: Topology,
     costs: CostVector,
     fingerprint: u64,
-    /// `trees[src]`: the LCP tree rooted at `src`.
-    trees: Vec<OnceLock<Box<[Option<PathMetric>]>>>,
+    /// `trees[src]`: the LCP tree rooted at `src`, shared by reference
+    /// like an [`AvoidTree`] so a seeded cache can keep its donor's.
+    trees: Vec<OnceLock<AvoidTree>>,
     /// Sparse `(src, avoid)` index of `d_{G−avoid}` trees.
     avoid_trees: SparseAvoidIndex,
     /// When present, this cache's cost vector differs from `seed.base`'s at
-    /// exactly one node, and plain trees are [`repair`](crate::repair)ed
-    /// from the base cache's instead of built by fresh Dijkstra. Repair is
-    /// exactly equivalent, so seeding is invisible in every answer. Behind
-    /// a mutex so [`RouteCache::detach_seed`] can drop the donor reference
-    /// once the caller is done repairing (locked only at tree
-    /// materialization, never per query).
+    /// exactly one node. Trees the delta provably leaves unchanged are
+    /// shared from the base cache, and other plain trees are
+    /// [`repair`](crate::repair)ed from the base cache's instead of built
+    /// by fresh Dijkstra. Both are exact, so seeding is invisible in every
+    /// answer. Behind a mutex so [`RouteCache::detach_seed`] can drop the
+    /// donor reference once the caller is done repairing (locked only at
+    /// tree materialization, never per query).
     seed: Mutex<Option<CacheSeed>>,
     /// Number of tree materializations (fresh or repaired) performed so
     /// far (diagnostics for benches and tests; not part of any result).
     computed: AtomicUsize,
+    /// Number of trees taken unchanged from the seed base instead.
+    shared: AtomicUsize,
 }
 
 /// The donor of a seeded [`RouteCache`]: the base cache whose trees are
@@ -181,6 +202,7 @@ impl std::fmt::Debug for RouteCache {
             .field("topo", &self.topo)
             .field("costs", &self.costs)
             .field("trees_computed", &self.trees_computed())
+            .field("trees_shared", &self.trees_shared())
             .field("avoid_trees_cached", &self.avoid_trees_cached())
             .finish()
     }
@@ -209,6 +231,7 @@ impl RouteCache {
             avoid_trees: SparseAvoidIndex::new(),
             seed: Mutex::new(None),
             computed: AtomicUsize::new(0),
+            shared: AtomicUsize::new(0),
         }
     }
 
@@ -219,8 +242,13 @@ impl RouteCache {
     /// Dijkstra. Sweep engines use this to derive each misreport cell's
     /// cache from the shared honest baseline (see [`CacheScope::pin`]).
     ///
-    /// Repair is exactly equivalent to fresh computation, so a seeded
-    /// cache's answers are byte-identical to [`RouteCache::new`]'s.
+    /// A tree the base already holds is shared by [`Arc`] instead when the
+    /// delta provably cannot change it (see [`RouteCache::trees_shared`]):
+    /// a streamed cost event then pays only for the trees it touches. The
+    /// base is only peeked for this, never made to compute.
+    ///
+    /// Repair and sharing are exactly equivalent to fresh computation, so
+    /// a seeded cache's answers are byte-identical to [`RouteCache::new`]'s.
     ///
     /// # Panics
     ///
@@ -245,6 +273,7 @@ impl RouteCache {
                 changed,
             })),
             computed: AtomicUsize::new(0),
+            shared: AtomicUsize::new(0),
         }
     }
 
@@ -258,8 +287,8 @@ impl RouteCache {
     }
 
     /// Drops the reference to the seed base. Trees already materialized
-    /// keep their (repair-built, exactly equivalent) contents; trees not
-    /// yet materialized fall back to fresh Dijkstra — still exact, just
+    /// keep their (repaired or shared, exactly equivalent) contents; trees
+    /// not yet materialized fall back to fresh Dijkstra — still exact, just
     /// not repair-accelerated. Streaming engines detach each fixed point's
     /// cache from its donor once its reference check has materialized the
     /// trees it needs, so a long event stream holds one donor generation
@@ -286,31 +315,65 @@ impl RouteCache {
     /// use, borrowed thereafter.
     pub fn tree(&self, src: NodeId) -> &[Option<PathMetric>] {
         self.trees[src.index()].get_or_init(|| {
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            // Clone the donor handle out of the lock: `base.tree(src)` may
-            // itself materialize (locking the *base's* seed mutex), and the
-            // chain is acyclic by construction.
-            let seed = self
-                .seed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .as_ref()
-                .map(|s| (Arc::clone(&s.base), s.changed));
-            match seed {
-                // Seeded cache: repair the base cache's tree against the
-                // one-node cost delta — exactly equivalent to the fresh
-                // run, at the cost of the affected region only.
-                Some((base, changed)) => repair_cost_change(
-                    &self.topo,
-                    &self.costs,
-                    base.tree(src),
-                    src,
-                    changed,
-                    base.costs().cost(changed),
-                )
-                .into_boxed_slice(),
-                None => lcp_tree(&self.topo, &self.costs, src).into_boxed_slice(),
+            let Some((base, changed)) = self.donor() else {
+                self.computed.fetch_add(1, Ordering::Relaxed);
+                return lcp_tree(&self.topo, &self.costs, src).into();
+            };
+            if let Some(kept) = self.keep(&base, changed, base.trees[src.index()].get(), src, None)
+            {
+                return kept;
             }
+            // Repair the base cache's tree against the one-node cost delta:
+            // exactly equivalent to the fresh run, at the cost of the
+            // affected region only.
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            repair_cost_change(
+                &self.topo,
+                &self.costs,
+                base.tree(src),
+                src,
+                changed,
+                base.costs().cost(changed),
+            )
+            .into()
+        })
+    }
+
+    /// The seed base and the node its cost vector differs at, if seeded.
+    /// Cloned out of the lock: materializing in the base locks the
+    /// *base's* seed mutex, and the chain is acyclic by construction.
+    fn donor(&self) -> Option<(Arc<RouteCache>, NodeId)> {
+        self.seed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map(|s| (Arc::clone(&s.base), s.changed))
+    }
+
+    /// The base's `tree` (rooted at `src`, avoiding `avoid`), shared when
+    /// the base holds it and the delta at `changed` provably leaves it
+    /// unchanged.
+    fn keep(
+        &self,
+        base: &RouteCache,
+        changed: NodeId,
+        tree: Option<&AvoidTree>,
+        src: NodeId,
+        avoid: Option<NodeId>,
+    ) -> Option<AvoidTree> {
+        let tree = tree?;
+        let kept = cost_change_keeps(
+            &self.topo,
+            tree,
+            src,
+            avoid,
+            changed,
+            base.costs.cost(changed),
+            self.costs.cost(changed),
+        );
+        kept.then(|| {
+            self.shared.fetch_add(1, Ordering::Relaxed);
+            Arc::clone(tree)
         })
     }
 
@@ -323,7 +386,9 @@ impl RouteCache {
     /// Computed by [`repair`](crate::repair)ing this cache's own base tree
     /// for `src` — re-relaxing only the subtree detached by removing
     /// `avoid` — which is exactly equivalent to (and much cheaper than)
-    /// the fresh `d_{G−avoid}` Dijkstra it replaced.
+    /// the fresh `d_{G−avoid}` Dijkstra it replaced. A seeded cache
+    /// shares the seed base's tree instead when it can (see
+    /// [`RouteCache::seeded_from`]).
     ///
     /// # Panics
     ///
@@ -333,6 +398,13 @@ impl RouteCache {
         let key = src.index() as u64 * self.topo.num_nodes() as u64 + avoid.index() as u64;
         let slot = self.avoid_trees.slot(key);
         slot.get_or_init(|| {
+            if let Some((base, changed)) = self.donor() {
+                let donor_tree = base.avoid_trees.peek(key);
+                if let Some(kept) = self.keep(&base, changed, donor_tree.as_ref(), src, Some(avoid))
+                {
+                    return kept;
+                }
+            }
             let base = self.tree(src);
             self.computed.fetch_add(1, Ordering::Relaxed);
             repair_avoiding(&self.topo, &self.costs, base, src, avoid).into()
@@ -368,6 +440,13 @@ impl RouteCache {
     /// that repeated queries hit the memo.
     pub fn trees_computed(&self) -> usize {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// How many trees this cache took unchanged from its seed base
+    /// instead of computing them (see [`RouteCache::seeded_from`]); they
+    /// are not counted in [`RouteCache::trees_computed`]. Diagnostic only.
+    pub fn trees_shared(&self) -> usize {
+        self.shared.load(Ordering::Relaxed)
     }
 
     /// How many `(src, avoid)` pairs the sparse index holds slots for —

@@ -55,6 +55,16 @@
 //! proportional to the affected region — tiny for most `k` on scale-free
 //! topologies, where the vast majority of nodes hang off hubs and detach
 //! nothing.
+//!
+//! Often the affected region of a cost change is empty, and
+//! `cost_change_keeps` proves it in `O(deg d)` without building a tree.
+//! By the prefix property, `d` is interior to some entry exactly when it
+//! is the penultimate node of a neighbor's entry. An increase changes only
+//! those entries. A decrease lowers each of them by `δ`, and otherwise
+//! changes the tree only if some neighbor is strictly improved by the
+//! entry of `d` extended to it. A seeded
+//! [`RouteCache`](crate::cache::RouteCache) uses the test to share its
+//! donor's trees instead of repairing copies of them.
 
 use crate::costs::CostVector;
 use crate::path::PathMetric;
@@ -156,6 +166,56 @@ pub fn repair_cost_change(
     } else {
         repair_cost_decrease(topo, new_costs, base, changed, old_cost)
     }
+}
+
+/// Whether a one-node cost change at `changed`, from `old_cost` to
+/// `new_cost`, provably leaves `tree` exactly as it is. `tree` is the LCP
+/// tree rooted at `src` under the old costs, in `G − avoid` when `avoid`
+/// is given. Runs in `O(deg changed)` path extensions; a `false` answer
+/// only means the tree must be repaired, never that it differs.
+///
+/// The tree is kept when `changed` is `src` or `avoid` (its cost appears
+/// on no path), and otherwise only when `changed` is interior to none of
+/// its paths and either the cost rose, or it fell and the first
+/// propagation step of the decrease repair finds no neighbor the cheaper
+/// `changed` strictly improves. By the prefix property (see the
+/// [module docs](self)), `changed` is interior to some path exactly when
+/// it is the penultimate node of a neighbor's entry.
+pub(crate) fn cost_change_keeps(
+    topo: &Topology,
+    tree: &[Option<PathMetric>],
+    src: NodeId,
+    avoid: Option<NodeId>,
+    changed: NodeId,
+    old_cost: Cost,
+    new_cost: Cost,
+) -> bool {
+    if changed == src || Some(changed) == avoid {
+        return true;
+    }
+    let neighbors = topo.neighbors(changed);
+    let interior = neighbors.iter().any(|u| {
+        tree[u.index()].as_ref().is_some_and(|p| {
+            let nodes = p.nodes();
+            nodes.len() >= 3 && nodes[nodes.len() - 2] == changed
+        })
+    });
+    if interior {
+        return false;
+    }
+    if new_cost > old_cost {
+        return true;
+    }
+    let Some(to_changed) = &tree[changed.index()] else {
+        return true;
+    };
+    neighbors.iter().filter(|&&x| Some(x) != avoid).all(|&x| {
+        to_changed.extended(x, new_cost).is_none_or(|candidate| {
+            tree[x.index()]
+                .as_ref()
+                .is_some_and(|cur| candidate >= *cur)
+        })
+    })
 }
 
 /// The increase direction: entries routing *through* `changed` detach and
@@ -297,21 +357,24 @@ fn rebuild_region(
         if region[u_idx] {
             continue;
         }
-        let Some(u_path) = repaired[u_idx].clone() else {
-            continue;
-        };
         let u = NodeId::from_index(u_idx);
         let charge = costs.cost(u);
         for &x in topo.neighbors(u) {
             if !region[x.index()] || Some(x) == skip {
                 continue;
             }
-            if let Some(candidate) = u_path.extended(x, charge) {
-                let slot = &mut repaired[x.index()];
-                if slot.as_ref().is_none_or(|cur| candidate < *cur) {
-                    *slot = Some(candidate.clone());
-                    heap.push(Reverse(candidate));
-                }
+            // Borrow the intact entry just long enough to extend it: only
+            // frontier entries seed anything, so none is cloned whole.
+            let Some(candidate) = repaired[u_idx]
+                .as_ref()
+                .and_then(|u_path| u_path.extended(x, charge))
+            else {
+                continue;
+            };
+            let slot = &mut repaired[x.index()];
+            if slot.as_ref().is_none_or(|cur| candidate < *cur) {
+                *slot = Some(candidate.clone());
+                heap.push(Reverse(candidate));
             }
         }
     }

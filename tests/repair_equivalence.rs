@@ -4,7 +4,8 @@
 //! trees — `d_{G−k}` removal repairs and one-node cost-change repairs in
 //! both directions — are element-for-element identical to fresh Dijkstra,
 //! across every topology family the generators produce (star, grid,
-//! scale-free, random biconnected), and repair-seeded sweep cells are
+//! scale-free, random biconnected), trees a seeded cache shares from its
+//! donor instead of repairing are too, and repair-seeded sweep cells are
 //! byte-identical to cold-built ones all the way up through the scenario
 //! engine.
 
@@ -19,6 +20,7 @@ use specfaith_graph::generators::{grid, random_biconnected, scale_free, star};
 use specfaith_graph::lcp::{lcp_tree, lcp_tree_avoiding};
 use specfaith_graph::repair::{repair_avoiding, repair_cost_change};
 use specfaith_graph::Topology;
+use std::sync::Arc;
 
 /// One topology per generator family, sized from `n`. The star's hub is a
 /// cut vertex, so removal repair must reproduce unreachable (`None`)
@@ -30,6 +32,33 @@ fn family_topology(family: usize, n: usize, rng: &mut StdRng) -> Topology {
         2 => scale_free(n.max(5), 2, rng),
         _ => random_biconnected(n.max(5), n / 2, rng),
     }
+}
+
+/// Materializes every plain and avoid tree of `cache`.
+fn materialize_all(cache: &RouteCache) {
+    let topo = cache.topology();
+    for src in topo.nodes() {
+        let _ = cache.tree(src);
+        for avoid in topo.nodes().filter(|&k| k != src) {
+            let _ = cache.tree_avoiding(src, avoid);
+        }
+    }
+}
+
+/// Checks every plain and avoid tree of `cache` against fresh Dijkstra
+/// under the cache's own costs.
+fn equals_fresh_dijkstra(cache: &RouteCache) -> Result<(), TestCaseError> {
+    let (topo, costs) = (cache.topology(), cache.costs());
+    for src in topo.nodes() {
+        prop_assert_eq!(cache.tree(src), &lcp_tree(topo, costs, src)[..]);
+        for avoid in topo.nodes().filter(|&k| k != src) {
+            prop_assert_eq!(
+                &cache.tree_avoiding(src, avoid)[..],
+                &lcp_tree_avoiding(topo, costs, src, Some(avoid))[..]
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -117,6 +146,55 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// A cache seeded from a fully materialized donor shares the donor's
+    /// trees wherever the one-node delta provably leaves them unchanged,
+    /// and every tree it answers, shared or repaired, equals fresh
+    /// Dijkstra. Three deltas: an increase and a decrease at a random
+    /// node, and an increase at the highest-degree node, which many trees
+    /// route through but whose own avoid trees must all be shared.
+    /// A donor with nothing materialized shares nothing and is never made
+    /// to compute an avoid tree.
+    #[test]
+    fn kept_trees_equal_fresh_dijkstra(
+        seed in 0u64..400,
+        n in 6usize..16,
+        family in 0usize..4,
+        changed_pick in 0usize..16,
+        delta in 1u64..10,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = family_topology(family, n, &mut rng);
+        let costs = CostVector::random(topo.num_nodes(), 0, 15, &mut rng);
+        let donor = Arc::new(RouteCache::new(topo.clone(), costs.clone()));
+        materialize_all(&donor);
+        let v = NodeId::from_index(changed_pick % topo.num_nodes());
+        let hub = topo
+            .nodes()
+            .max_by_key(|&k| topo.neighbors(k).len())
+            .expect("nonempty");
+        let old = costs.cost(v).value();
+        let mut deltas = vec![(v, old + delta), (hub, costs.cost(hub).value() + delta)];
+        if old > 0 {
+            deltas.push((v, old.saturating_sub(delta)));
+        }
+        for (at, cost) in deltas {
+            let seeded = RouteCache::seeded_from(&donor, costs.with_cost(at, Cost::new(cost)));
+            equals_fresh_dijkstra(&seeded)?;
+            prop_assert!(seeded.trees_shared() > 0);
+            for src in topo.nodes().filter(|&s| s != at) {
+                prop_assert!(Arc::ptr_eq(
+                    &seeded.tree_avoiding(src, at),
+                    &donor.tree_avoiding(src, at)
+                ));
+            }
+        }
+        let empty = Arc::new(RouteCache::new(topo.clone(), costs.clone()));
+        let seeded = RouteCache::seeded_from(&empty, costs.with_cost(v, Cost::new(old + delta)));
+        materialize_all(&seeded);
+        prop_assert_eq!(seeded.trees_shared(), 0);
+        prop_assert_eq!(empty.avoid_trees_cached(), 0);
     }
 }
 
