@@ -230,7 +230,7 @@ mod tests {
     use super::*;
     use specfaith_core::money::Money;
     use specfaith_fpss::msg::Packet;
-    use std::collections::BTreeSet;
+    use specfaith_fpss::tags::TagSet;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -331,7 +331,7 @@ mod tests {
                 dst: n(3),
                 transit: n(2),
                 price: Money::new(5),
-                tags: BTreeSet::new(),
+                tags: TagSet::new(),
             }],
             &[],
         );

@@ -13,38 +13,56 @@
 //! Purity is not a style choice: the bank compares table hashes across
 //! principal and checkers, so the recomputation must be a deterministic
 //! function of the inputs and nothing else.
+//!
+//! The inputs a node has heard live in a [`NeighborView`]: per neighbor,
+//! one advert per destination, holding the advertised route and the
+//! advertised prices sorted by transit. [`price_entries_to`] fetches each
+//! neighbor's advert once per destination, and then a detour price is a
+//! binary search over the few transits of one route.
 
 use crate::msg::{PriceRow, RouteRow};
 use crate::state::{PriceEntry, PricingTable, RoutingTable, TransitCostList};
+use crate::tags::TagSet;
 use specfaith_core::id::NodeId;
 use specfaith_core::money::Cost;
 use specfaith_graph::path::PathMetric;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Dense-slot ceiling for the per-neighbor route tables. Honest
+/// Dense-slot ceiling for the per-neighbor advertisement tables. Honest
 /// destination ids are dense `0..n` and sit far below this; advertised
 /// rows naming larger ids (only forgeable — see the deviation hooks) fall
 /// back to the sparse map so a hostile row cannot force a giant
 /// allocation.
 const DENSE_ROUTE_SLOTS: usize = 4096;
 
+/// What one neighbor advertised toward one destination.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Advert {
+    /// The advertised path (starting at the neighbor, ending at the
+    /// destination), if any.
+    path: Option<Vec<NodeId>>,
+    /// The advertised per-packet prices, `(transit, price)` sorted by
+    /// transit.
+    prices: Vec<(NodeId, i64)>,
+}
+
 /// A node's record of what its neighbors have advertised: routes and
 /// prices, exactly as received (the inputs to recomputation).
 ///
-/// Routes are stored per neighbor, dense by destination index: the
-/// recompute functions read `route(b, dst)` on their innermost loops, so
-/// the lookup is a short linear probe over the (few) neighbors plus an
-/// array read — never a tree walk. Destinations at or beyond the dense
-/// ceiling (forged ids) take the sparse fallback.
+/// Adverts are stored per neighbor, dense by destination index: the
+/// recompute functions read a neighbor's route and prices toward `dst` on
+/// their innermost loops, so the lookup is a short linear probe over the
+/// (few) neighbors plus an array read, and a price is a binary search
+/// over the few transits of one advertised route — never a tree walk.
+/// Destinations at or beyond the dense ceiling (forged ids) take the
+/// sparse fallback.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborView {
-    /// Per neighbor, `paths[dst.index()]` = the advertised path (starting
-    /// at the neighbor, ending at dst), `None` where nothing advertised.
-    routes: Vec<(NodeId, Vec<Option<Vec<NodeId>>>)>,
-    /// Rows whose destination index does not fit the dense table.
-    sparse_routes: BTreeMap<(NodeId, NodeId), Vec<NodeId>>,
-    /// `(neighbor, dst, transit) → neighbor's advertised per-packet price`.
-    prices: BTreeMap<(NodeId, NodeId, NodeId), i64>,
+    /// Per neighbor, `adverts[dst.index()]`.
+    dense: Vec<(NodeId, Vec<Advert>)>,
+    /// Adverts whose destination index does not fit the dense table,
+    /// keyed by `(neighbor, dst)`.
+    sparse: BTreeMap<(NodeId, NodeId), Advert>,
     /// Reverse membership index: `node → (dst → occurrences)` counts how
     /// many stored routes toward `dst` contain `node` anywhere on their
     /// path. Maintained incrementally by [`NeighborView::learn_route`]
@@ -89,43 +107,67 @@ impl NeighborView {
         }
     }
 
-    /// Records a route advertisement from `neighbor`. Returns `true` if
-    /// the stored row changed. Rows whose path does not start at the
-    /// neighbor or end at the row's destination are rejected (malformed).
-    pub fn learn_route(&mut self, neighbor: NodeId, row: &RouteRow) -> bool {
-        if row.path.first() != Some(&neighbor) || row.path.last() != Some(&row.dst) {
-            return false;
+    /// What `neighbor` advertised toward `dst`, if anything.
+    fn advert(&self, neighbor: NodeId, dst: NodeId) -> Option<&Advert> {
+        if dst.index() >= DENSE_ROUTE_SLOTS {
+            return self.sparse.get(&(neighbor, dst));
         }
-        let slot = row.dst.index();
-        if slot >= DENSE_ROUTE_SLOTS {
-            let key = (neighbor, row.dst);
-            if self.sparse_routes.get(&key) == Some(&row.path) {
-                return false;
-            }
-            if let Some(old) = self.sparse_routes.insert(key, row.path.clone()) {
-                Self::unindex_path(&mut self.through, row.dst, &old);
-            }
-            Self::index_path(&mut self.through, row.dst, &row.path);
-            return true;
+        let (_, adverts) = self.dense.iter().find(|(b, _)| *b == neighbor)?;
+        adverts.get(dst.index())
+    }
+
+    /// [`NeighborView::advert`], mutably.
+    fn existing_advert_mut(&mut self, neighbor: NodeId, dst: NodeId) -> Option<&mut Advert> {
+        if dst.index() >= DENSE_ROUTE_SLOTS {
+            return self.sparse.get_mut(&(neighbor, dst));
         }
-        let at = match self.routes.iter().position(|(b, _)| *b == neighbor) {
+        let (_, adverts) = self.dense.iter_mut().find(|(b, _)| *b == neighbor)?;
+        adverts.get_mut(dst.index())
+    }
+
+    /// The stored advert of `neighbor` toward `dst`, created empty if
+    /// absent.
+    fn advert_mut(&mut self, neighbor: NodeId, dst: NodeId) -> &mut Advert {
+        if dst.index() >= DENSE_ROUTE_SLOTS {
+            return self.sparse.entry((neighbor, dst)).or_default();
+        }
+        let at = match self.dense.iter().position(|(b, _)| *b == neighbor) {
             Some(at) => at,
             None => {
-                self.routes.push((neighbor, Vec::new()));
-                self.routes.len() - 1
+                self.dense.push((neighbor, Vec::new()));
+                self.dense.len() - 1
             }
         };
-        let paths = &mut self.routes[at].1;
-        if slot >= paths.len() {
-            paths.resize(slot + 1, None);
+        let adverts = &mut self.dense[at].1;
+        if dst.index() >= adverts.len() {
+            adverts.resize_with(dst.index() + 1, Advert::default);
         }
-        if paths[slot].as_ref() == Some(&row.path) {
+        &mut adverts[dst.index()]
+    }
+
+    /// Records a route advertisement from `neighbor`. Returns `true` if
+    /// the stored row changed. Malformed rows are rejected: a path that
+    /// does not start at the neighbor, does not end at the row's
+    /// destination, or visits a node twice (no honest node advertises a
+    /// non-simple path, and one installed as a route would break the
+    /// simple-path invariant of every route built on it).
+    pub fn learn_route(&mut self, neighbor: NodeId, row: &RouteRow) -> bool {
+        let path = row.path.as_slice();
+        if path.first() != Some(&neighbor)
+            || path.last() != Some(&row.dst)
+            || (1..path.len()).any(|i| path[..i].contains(&path[i]))
+        {
             return false;
         }
-        if let Some(old) = paths[slot].replace(row.path.clone()) {
+        let advert = self.advert_mut(neighbor, row.dst);
+        if advert.path.as_deref() == Some(path) {
+            return false;
+        }
+        let old = advert.path.replace(path.to_vec());
+        if let Some(old) = old {
             Self::unindex_path(&mut self.through, row.dst, &old);
         }
-        Self::index_path(&mut self.through, row.dst, &row.path);
+        Self::index_path(&mut self.through, row.dst, path);
         true
     }
 
@@ -142,56 +184,63 @@ impl NeighborView {
     /// Records a price advertisement from `neighbor`. Returns `true` if
     /// the stored value changed.
     pub fn learn_price(&mut self, neighbor: NodeId, row: &PriceRow) -> bool {
-        let key = (neighbor, row.dst, row.transit);
         let value = row.price.value();
-        if self.prices.get(&key) == Some(&value) {
-            return false;
+        let prices = &mut self.advert_mut(neighbor, row.dst).prices;
+        match prices.binary_search_by_key(&row.transit, |(k, _)| *k) {
+            Ok(at) if prices[at].1 == value => return false,
+            Ok(at) => prices[at].1 = value,
+            Err(at) => prices.insert(at, (row.transit, value)),
         }
-        self.prices.insert(key, value);
         true
     }
 
     /// Removes a previously advertised price (the neighbor retracted it).
     /// Returns `true` if the view changed.
     pub fn retract_price(&mut self, neighbor: NodeId, dst: NodeId, transit: NodeId) -> bool {
-        self.prices.remove(&(neighbor, dst, transit)).is_some()
+        let Some(advert) = self.existing_advert_mut(neighbor, dst) else {
+            return false;
+        };
+        match advert.prices.binary_search_by_key(&transit, |(k, _)| *k) {
+            Ok(at) => {
+                advert.prices.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// The path `neighbor` advertised toward `dst`, if any.
     pub fn route(&self, neighbor: NodeId, dst: NodeId) -> Option<&[NodeId]> {
-        if dst.index() >= DENSE_ROUTE_SLOTS {
-            return self.sparse_routes.get(&(neighbor, dst)).map(Vec::as_slice);
-        }
-        let (_, paths) = self.routes.iter().find(|(b, _)| *b == neighbor)?;
-        paths.get(dst.index())?.as_deref()
+        self.advert(neighbor, dst)?.path.as_deref()
     }
 
     /// The price `neighbor` advertised for `(dst, transit)`, if any.
     pub fn price(&self, neighbor: NodeId, dst: NodeId, transit: NodeId) -> Option<i64> {
-        self.prices.get(&(neighbor, dst, transit)).copied()
+        let prices = &self.advert(neighbor, dst)?.prices;
+        let at = prices.binary_search_by_key(&transit, |(k, _)| *k).ok()?;
+        Some(prices[at].1)
     }
 
-    /// The advertised routes as sorted `((neighbor, dst), path)` content
-    /// (normalizes away storage artifacts like trailing empty slots).
-    fn route_content(&self) -> BTreeMap<(NodeId, NodeId), &Vec<NodeId>> {
-        let mut content = BTreeMap::new();
-        for (neighbor, paths) in &self.routes {
-            for (slot, path) in paths.iter().enumerate() {
-                if let Some(path) = path {
-                    content.insert((*neighbor, NodeId::from_index(slot)), path);
-                }
-            }
-        }
-        for (&key, path) in &self.sparse_routes {
-            content.insert(key, path);
-        }
-        content
+    /// Every stored advert as `((neighbor, dst), advert)`, sorted by key
+    /// (normalizes away storage artifacts like trailing empty slots and
+    /// the order neighbors were first heard from).
+    fn content(&self) -> BTreeMap<(NodeId, NodeId), &Advert> {
+        let dense = self.dense.iter().flat_map(|(neighbor, adverts)| {
+            adverts
+                .iter()
+                .enumerate()
+                .map(move |(slot, advert)| ((*neighbor, NodeId::from_index(slot)), advert))
+        });
+        dense
+            .chain(self.sparse.iter().map(|(&key, advert)| (key, advert)))
+            .filter(|(_, advert)| advert.path.is_some() || !advert.prices.is_empty())
+            .collect()
     }
 }
 
 impl PartialEq for NeighborView {
     fn eq(&self, other: &Self) -> bool {
-        self.prices == other.prices && self.route_content() == other.route_content()
+        self.content() == other.content()
     }
 }
 
@@ -304,16 +353,12 @@ pub fn recompute_prices(
     routes: &RoutingTable,
     view: &NeighborView,
 ) -> PricingTable {
-    let mut table = PricingTable::new();
-    for (dst, path) in routes.iter() {
-        if dst == me {
-            continue;
-        }
-        for (transit, entry) in price_entries_to(neighbors, data1, path, view, dst) {
-            table.insert(dst, transit, entry);
-        }
-    }
-    table
+    PricingTable::from_dst_rows(
+        routes
+            .iter()
+            .filter(|&(dst, _)| dst != me)
+            .map(|(dst, path)| (dst, price_entries_to(neighbors, data1, path, view, dst))),
+    )
 }
 
 /// The pricing rows of one destination — `(transit, entry)` per transit
@@ -341,20 +386,20 @@ pub fn price_entries_to(
         return Vec::new();
     };
     let d_me = d_me.value() as i64;
-    // Per-neighbor inputs — advertised path, its locally-costed distance,
-    // the neighbor's declared cost — are pure functions of `(b, dst)`, so
-    // they are derived once here rather than once per transit. `None` =
-    // this neighbor contributes no candidate.
-    let per_neighbor: Vec<Option<(&[NodeId], i64, i64)>> = neighbors
+    // Per-neighbor inputs — advertised path and prices, the path's
+    // locally-costed distance, the neighbor's declared cost — are pure
+    // functions of `(b, dst)`, so they are derived once here rather than
+    // once per transit. `None` = this neighbor contributes no candidate.
+    let per_neighbor: Vec<Option<(&Advert, i64, i64)>> = neighbors
         .iter()
         .map(|&b| {
             if b == dst {
-                return Some((&[][..], 0, 0));
+                return Some((&DIRECT, 0, 0));
             }
-            let p = view.route(b, dst)?;
-            let d_b = data1.path_cost(p)?.value() as i64;
+            let advert = view.advert(b, dst)?;
+            let d_b = data1.path_cost(advert.path.as_deref()?)?.value() as i64;
             let c_b = data1.declared(b)?.value() as i64;
-            Some((p, d_b, c_b))
+            Some((advert, d_b, c_b))
         })
         .collect();
     let mut rows = Vec::with_capacity(transits.len());
@@ -364,21 +409,23 @@ pub fn price_entries_to(
         };
         let c_k = c_k.value() as i64;
         let mut best: Option<i64> = None;
-        let mut tags: BTreeSet<NodeId> = BTreeSet::new();
+        let mut tags = TagSet::new();
         for (&b, inputs) in neighbors.iter().zip(&per_neighbor) {
             if b == k {
                 // Problem partitioning (FPSS footnote 8): the priced
                 // node's own advertisements are never used to price it.
                 continue;
             }
-            let Some((path_b, d_b, c_b)) = *inputs else {
+            let Some((advert, d_b, c_b)) = *inputs else {
                 continue;
             };
-            let detour = if path_b.contains(&k) {
-                let Some(p_bk) = view.price(b, dst, k) else {
+            let crosses_k = advert.path.as_ref().is_some_and(|p| p.contains(&k));
+            let detour = if crosses_k {
+                let prices = &advert.prices;
+                let Ok(at) = prices.binary_search_by_key(&k, |(t, _)| *t) else {
                     continue;
                 };
-                p_bk - c_k + d_b
+                prices[at].1 - c_k + d_b
             } else {
                 d_b
             };
@@ -416,9 +463,17 @@ pub fn price_entries_to(
     rows
 }
 
+/// The advert standing in for a destination that is itself a neighbor:
+/// the zero-length detour, which crosses no transit.
+static DIRECT: Advert = Advert {
+    path: None,
+    prices: Vec::new(),
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use specfaith_core::money::{Cost, Money};
 
     fn n(i: u32) -> NodeId {
@@ -452,6 +507,23 @@ mod tests {
                 path: vec![n(1), n(3)],
             }
         ));
+        // Path visits a node twice: the endpoints are right, but the
+        // route is not simple.
+        assert!(!view.learn_route(
+            n(1),
+            &RouteRow {
+                dst: n(2),
+                path: vec![n(1), n(3), n(3), n(2)],
+            }
+        ));
+        assert!(!view.learn_route(
+            n(1),
+            &RouteRow {
+                dst: n(2),
+                path: vec![n(1), n(3), n(1), n(2)],
+            }
+        ));
+        assert_eq!(view, NeighborView::new(), "rejected rows leave no trace");
         assert!(view.learn_route(
             n(1),
             &RouteRow {
@@ -481,6 +553,75 @@ mod tests {
         assert_eq!(view, same, "equality covers sparse rows");
     }
 
+    /// Destination `d` of a generated op: `0..4` are dense ids, `4` and
+    /// `5` forged ids past the dense slots.
+    fn generated_dst(d: u32) -> NodeId {
+        if d < 4 {
+            n(d)
+        } else {
+            NodeId::from_index(DENSE_ROUTE_SLOTS + d as usize)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The price view agrees with a `BTreeMap<(neighbor, dst,
+        /// transit), i64>` on every learn, retraction and lookup, dense
+        /// and sparse destinations alike, and equals a view fed the same
+        /// content in the reverse order. Op 0 retracts, op 1 also learns
+        /// a route (which must not disturb prices), the others learn.
+        #[test]
+        fn price_view_matches_a_btreemap(
+            ops in proptest::collection::vec(((0u32..5, 0u32..3), (0u32..6, 0u32..4), -3i64..3), 0..60),
+        ) {
+            let mut view = NeighborView::new();
+            let mut model: BTreeMap<(NodeId, NodeId, NodeId), i64> = BTreeMap::new();
+            let mut routes = Vec::new();
+            let row = |dst, transit, price| PriceRow {
+                dst,
+                transit,
+                price: Money::new(price),
+                tags: TagSet::new(),
+            };
+            for &((op, b), (d, k), price) in &ops {
+                let (b, dst, k) = (n(10 + b), generated_dst(d), n(k));
+                if op == 0 {
+                    let removed = model.remove(&(b, dst, k)).is_some();
+                    prop_assert_eq!(view.retract_price(b, dst, k), removed);
+                } else {
+                    if op == 1 {
+                        let route = RouteRow { dst, path: vec![b, dst] };
+                        view.learn_route(b, &route);
+                        routes.push((b, route));
+                    }
+                    let changed = model.insert((b, dst, k), price) != Some(price);
+                    prop_assert_eq!(view.learn_price(b, &row(dst, k, price)), changed);
+                }
+                for b in (10..13).map(n) {
+                    for dst in (0..6).map(generated_dst) {
+                        for k in (0..4).map(n) {
+                            let expected = model.get(&(b, dst, k)).copied();
+                            prop_assert_eq!(view.price(b, dst, k), expected);
+                        }
+                    }
+                }
+            }
+            let mut fresh = NeighborView::new();
+            for (&(b, dst, k), &price) in model.iter().rev() {
+                fresh.learn_price(b, &row(dst, k, price));
+            }
+            for (b, route) in routes.iter().rev() {
+                fresh.learn_route(*b, route);
+            }
+            prop_assert_eq!(&view, &fresh);
+            if let Some((&(b, dst, k), _)) = model.iter().next() {
+                fresh.retract_price(b, dst, k);
+                prop_assert_ne!(&view, &fresh);
+            }
+        }
+    }
+
     #[test]
     fn learn_is_idempotent() {
         let mut view = NeighborView::new();
@@ -494,7 +635,7 @@ mod tests {
             dst: n(2),
             transit: n(3),
             price: Money::new(5),
-            tags: BTreeSet::new(),
+            tags: TagSet::new(),
         };
         assert!(view.learn_price(n(1), &price));
         assert!(!view.learn_price(n(1), &price));
@@ -671,7 +812,7 @@ mod tests {
                 dst: n(2),
                 transit: n(1),
                 price: Money::new(9),
-                tags: BTreeSet::new(),
+                tags: TagSet::new(),
             },
         );
         let routes = recompute_routes(n(0), &[n(1), n(3)], &d1, &view);

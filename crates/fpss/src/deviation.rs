@@ -674,7 +674,7 @@ pub fn standard_catalog(forged_tag: NodeId) -> Vec<Box<dyn RationalStrategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::tags::TagSet;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -733,7 +733,7 @@ mod tests {
             dst: n(1),
             transit: n(2),
             price: Money::new(10),
-            tags: BTreeSet::new(),
+            tags: TagSet::new(),
         }];
         let out = s.announce_pricing(n(0), rows);
         assert_eq!(out[0].price, Money::new(5));
@@ -800,7 +800,7 @@ mod tests {
                 dst: n(1),
                 transit: n(2),
                 price: Money::new(7),
-                tags: BTreeSet::new(),
+                tags: TagSet::new(),
             }],
             retractions: Vec::new(),
         };

@@ -24,7 +24,8 @@
 //!
 //! * [`state`] — the per-node data of §4.1: transit-cost list (DATA1),
 //!   routing table (DATA2), pricing table with identity tags (DATA3*), and
-//!   payment ledger (DATA4), each with a canonical bank hash.
+//!   payment ledger (DATA4), each with a canonical bank hash; [`tags`]
+//!   holds the DATA3* identity-tag set.
 //! * [`compute`] — the **pure** recomputation functions for routing and
 //!   pricing. Principals, plain nodes, and checker mirrors all call the
 //!   same functions; bit-identical outputs are what make hash comparison
@@ -67,8 +68,10 @@ pub mod runner;
 pub mod settle;
 pub mod spec;
 pub mod state;
+pub mod tags;
 pub mod traffic;
 
 pub use deviation::RationalStrategy;
 pub use msg::{FpssMsg, Packet, PriceRow, RouteRow};
 pub use state::{PaymentLedger, PricingTable, RoutingTable, TransitCostList};
+pub use tags::TagSet;

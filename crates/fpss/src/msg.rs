@@ -22,10 +22,10 @@
 //! | `PricingUpdate` | `8 + Σ rows + 8·retractions.len()` |
 //! | `Data` | inner `Packet` |
 
+use crate::tags::TagSet;
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_netsim::Payload;
-use std::collections::BTreeSet;
 
 /// One row of a routing announcement: "my current lowest-cost path to
 /// `dst` is `path`".
@@ -62,7 +62,7 @@ pub struct PriceRow {
     /// VCG per-packet payment.
     pub price: Money,
     /// Identity tags: the neighbors that triggered/support this entry.
-    pub tags: BTreeSet<NodeId>,
+    pub tags: TagSet,
 }
 
 impl Payload for PriceRow {
@@ -219,7 +219,7 @@ mod tests {
             dst: n(1),
             transit: n(2),
             price: Money::new(0),
-            tags: BTreeSet::new(),
+            tags: TagSet::new(),
         };
         assert_eq!(bare_price.size_bytes(), 16);
         assert_eq!(

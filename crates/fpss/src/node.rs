@@ -299,28 +299,8 @@ impl FpssCore {
                 Some(path) => price_entries_to(&self.neighbors, &self.data1, path, &self.view, dst),
                 None => Vec::new(),
             };
-            for (transit, entry) in &new_rows {
-                if self.prices.entry(dst, *transit) != Some(entry) {
-                    changed_prices.push(PriceRow {
-                        dst,
-                        transit: *transit,
-                        price: entry.price,
-                        tags: entry.tags.clone(),
-                    });
-                }
-            }
-            let retracted: Vec<NodeId> = self
-                .prices
-                .transits_for(dst)
-                .filter(|k| !new_rows.iter().any(|(nk, _)| nk == k))
-                .collect();
-            for (transit, entry) in new_rows {
-                self.prices.insert(dst, transit, entry);
-            }
-            for transit in retracted {
-                self.prices.remove(dst, transit);
-                retractions.push((dst, transit));
-            }
+            self.prices
+                .install_dst(dst, new_rows, &mut changed_prices, &mut retractions);
         }
         (changed_routes, changed_prices, retractions)
     }

@@ -1,5 +1,14 @@
 //! The per-node data of FPSS §4.1: DATA1–DATA4, with canonical bank hashes.
 //!
+//! Each table is laid out for its reads. DATA1 is dense by node index,
+//! since every recompute costs candidate paths from it. DATA3\* groups its
+//! rows per destination, sorted by transit, with each entry's identity
+//! tags in an inline [`TagSet`]: the destination-scoped recompute of
+//! [`crate::node::FpssCore::recompute_dsts`] diffs and installs one
+//! destination's rows in a single merge, and iteration, announcements and
+//! both digests walk `(dst, transit)` order, byte for byte what a flat
+//! sorted map gives.
+//!
 //! DATA1, DATA2 and DATA3\* each memoize their canonical digest. Every
 //! `&mut` method that changes a table's content clears its memo, and a
 //! call that leaves the content as it was keeps it. So a streamed event,
@@ -8,12 +17,12 @@
 //! ignored by equality.
 
 use crate::msg::{PriceRow, RouteRow};
+use crate::tags::TagSet;
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
 use specfaith_crypto::tablehash::TableHasher;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -284,15 +293,58 @@ pub struct PriceEntry {
     pub price: Money,
     /// The neighbor(s) whose information produced this entry (union on
     /// pricing ties) — the spoof-detection extension of the paper.
-    pub tags: BTreeSet<NodeId>,
+    pub tags: TagSet,
 }
+
+/// One destination's pricing rows: `(transit, entry)`, sorted by transit,
+/// each transit once.
+type DstRows = Vec<(NodeId, PriceEntry)>;
 
 /// \[DATA3*\] Pricing table: per `(destination, transit)` pair, the
 /// per-packet payment this node owes that transit, with identity tags.
+///
+/// Rows are grouped per destination and sorted by transit, the shape of
+/// every read: the destination-scoped recompute diffs and installs one
+/// destination's rows in a single merge, and iteration and both digests
+/// walk `(dst, transit)` order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PricingTable {
-    entries: BTreeMap<(NodeId, NodeId), PriceEntry>,
+    /// Destinations with at least one row; none maps to an empty list.
+    by_dst: BTreeMap<NodeId, DstRows>,
+    /// Total rows across destinations.
+    len: usize,
     digest: DigestMemo,
+}
+
+/// Appends the announcement diff of one destination, `old` → `new`:
+/// each row of `new` that `old` lacks or holds differently to `changed`,
+/// each transit of `old` that `new` lacks to `retracted`, both in transit
+/// order.
+fn diff_rows(
+    dst: NodeId,
+    old: &[(NodeId, PriceEntry)],
+    new: &[(NodeId, PriceEntry)],
+    changed: &mut Vec<PriceRow>,
+    retracted: &mut Vec<(NodeId, NodeId)>,
+) {
+    let mut old = old.iter().peekable();
+    for (transit, entry) in new {
+        while let Some((gone, _)) = old.next_if(|(was, _)| was < transit) {
+            retracted.push((dst, *gone));
+        }
+        let kept = old
+            .next_if(|(was, _)| was == transit)
+            .is_some_and(|(_, before)| before == entry);
+        if !kept {
+            changed.push(PriceRow {
+                dst,
+                transit: *transit,
+                price: entry.price,
+                tags: entry.tags.clone(),
+            });
+        }
+    }
+    retracted.extend(old.map(|(gone, _)| (dst, *gone)));
 }
 
 impl PricingTable {
@@ -301,9 +353,34 @@ impl PricingTable {
         Self::default()
     }
 
+    /// A table from per-destination rows, each list sorted by transit
+    /// with every transit once (what [`crate::compute::price_entries_to`]
+    /// returns). Empty lists are skipped.
+    pub(crate) fn from_dst_rows(rows: impl IntoIterator<Item = (NodeId, DstRows)>) -> Self {
+        let by_dst: BTreeMap<NodeId, DstRows> = rows
+            .into_iter()
+            .filter(|(_, rows)| !rows.is_empty())
+            .collect();
+        debug_assert!(by_dst
+            .values()
+            .all(|rows| rows.windows(2).all(|w| w[0].0 < w[1].0)));
+        PricingTable {
+            len: by_dst.values().map(Vec::len).sum(),
+            by_dst,
+            digest: DigestMemo::default(),
+        }
+    }
+
+    /// `dst`'s rows, sorted by transit.
+    fn rows(&self, dst: NodeId) -> &[(NodeId, PriceEntry)] {
+        self.by_dst.get(&dst).map_or(&[], Vec::as_slice)
+    }
+
     /// The entry for traffic to `dst` transiting `transit`.
     pub fn entry(&self, dst: NodeId, transit: NodeId) -> Option<&PriceEntry> {
-        self.entries.get(&(dst, transit))
+        let rows = self.rows(dst);
+        let at = rows.binary_search_by_key(&transit, |(k, _)| *k).ok()?;
+        Some(&rows[at].1)
     }
 
     /// The price for `(dst, transit)`, if present.
@@ -311,38 +388,32 @@ impl PricingTable {
         self.entry(dst, transit).map(|e| e.price)
     }
 
-    /// Total per-packet payment this node owes along its route to `dst`.
-    pub fn total_price_to(&self, dst: NodeId) -> Money {
-        self.entries
-            .iter()
-            .filter(|((d, _), _)| *d == dst)
-            .map(|(_, e)| e.price)
-            .sum()
-    }
-
     /// Replaces the whole table (the recompute functions build fresh
     /// tables). Returns `(changed rows, retracted keys)` — exactly what
-    /// must be announced to neighbors. Retractions matter for the checker
-    /// protocol: the announced table accumulated by checkers must track
-    /// removals, or the \[BANK2\] hash comparison would flag honest nodes.
+    /// must be announced to neighbors, each in `(dst, transit)` order.
+    /// Retractions matter for the checker protocol: the announced table
+    /// accumulated by checkers must track removals, or the \[BANK2\] hash
+    /// comparison would flag honest nodes.
     pub fn replace(&mut self, new: PricingTable) -> (Vec<PriceRow>, Vec<(NodeId, NodeId)>) {
         let mut changed = Vec::new();
-        for (&(dst, transit), entry) in &new.entries {
-            if self.entries.get(&(dst, transit)) != Some(entry) {
-                changed.push(PriceRow {
-                    dst,
-                    transit,
-                    price: entry.price,
-                    tags: entry.tags.clone(),
-                });
+        let mut retracted = Vec::new();
+        let mut old_dsts = self.by_dst.keys().copied().peekable();
+        for &dst in new.by_dst.keys() {
+            while let Some(gone) = old_dsts.next_if(|&was| was < dst) {
+                diff_rows(gone, self.rows(gone), &[], &mut changed, &mut retracted);
             }
+            old_dsts.next_if_eq(&dst);
+            diff_rows(
+                dst,
+                self.rows(dst),
+                new.rows(dst),
+                &mut changed,
+                &mut retracted,
+            );
         }
-        let retracted: Vec<(NodeId, NodeId)> = self
-            .entries
-            .keys()
-            .filter(|key| !new.entries.contains_key(*key))
-            .copied()
-            .collect();
+        for gone in old_dsts {
+            diff_rows(gone, self.rows(gone), &[], &mut changed, &mut retracted);
+        }
         if !changed.is_empty() || !retracted.is_empty() {
             // The new table's memo, if any, is a digest of this content.
             *self = new;
@@ -350,46 +421,80 @@ impl PricingTable {
         (changed, retracted)
     }
 
+    /// Replaces `dst`'s rows with `rows` (sorted by transit, each transit
+    /// once), appending the announcement diff to `changed` and
+    /// `retracted` exactly as [`PricingTable::replace`] would order it for
+    /// this destination. Leaves the table, and its digest memo, untouched
+    /// when the rows are the same.
+    pub(crate) fn install_dst(
+        &mut self,
+        dst: NodeId,
+        rows: DstRows,
+        changed: &mut Vec<PriceRow>,
+        retracted: &mut Vec<(NodeId, NodeId)>,
+    ) {
+        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        let before = (changed.len(), retracted.len());
+        diff_rows(dst, self.rows(dst), &rows, changed, retracted);
+        if before == (changed.len(), retracted.len()) {
+            return;
+        }
+        self.len += rows.len();
+        let old = if rows.is_empty() {
+            self.by_dst.remove(&dst)
+        } else {
+            self.by_dst.insert(dst, rows)
+        };
+        self.len -= old.map_or(0, |old| old.len());
+        self.digest.clear();
+    }
+
     /// Removes an entry, returning whether it was present.
     pub fn remove(&mut self, dst: NodeId, transit: NodeId) -> bool {
-        let removed = self.entries.remove(&(dst, transit)).is_some();
-        if removed {
-            self.digest.clear();
+        let Some(rows) = self.by_dst.get_mut(&dst) else {
+            return false;
+        };
+        let Ok(at) = rows.binary_search_by_key(&transit, |(k, _)| *k) else {
+            return false;
+        };
+        rows.remove(at);
+        if rows.is_empty() {
+            self.by_dst.remove(&dst);
         }
-        removed
+        self.len -= 1;
+        self.digest.clear();
+        true
     }
 
     /// Inserts a single entry (used by mirrors and tests).
     pub fn insert(&mut self, dst: NodeId, transit: NodeId, entry: PriceEntry) {
-        // One lookup: this builds every expected pricing table.
-        match self.entries.entry((dst, transit)) {
-            Entry::Occupied(slot) if *slot.get() == entry => return,
-            Entry::Occupied(mut slot) => *slot.get_mut() = entry,
-            Entry::Vacant(slot) => _ = slot.insert(entry),
+        let rows = self.by_dst.entry(dst).or_default();
+        match rows.binary_search_by_key(&transit, |(k, _)| *k) {
+            Ok(at) if rows[at].1 == entry => return,
+            Ok(at) => rows[at].1 = entry,
+            Err(at) => {
+                rows.insert(at, (transit, entry));
+                self.len += 1;
+            }
         }
         self.digest.clear();
     }
 
-    /// Iterates the transits currently priced for `dst`, in transit order.
-    pub fn transits_for(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .range((dst, NodeId::new(0))..=(dst, NodeId::new(u32::MAX)))
-            .map(|(&(_, transit), _)| transit)
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Iterates `((dst, transit), entry)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), &PriceEntry)> + '_ {
-        self.entries.iter().map(|(&k, v)| (k, v))
+        self.by_dst
+            .iter()
+            .flat_map(|(&dst, rows)| rows.iter().map(move |(k, e)| ((dst, *k), e)))
     }
 
     /// The table as announcement rows.
@@ -410,7 +515,7 @@ impl PricingTable {
     pub fn digest(&self) -> Digest {
         self.digest.get_or(|| {
             let mut h = TableHasher::new("fpss/data3*");
-            for (&(dst, transit), entry) in &self.entries {
+            for ((dst, transit), entry) in self.iter() {
                 h.put_u32(dst.raw())
                     .put_u32(transit.raw())
                     .put_i64(entry.price.value());
@@ -429,7 +534,7 @@ impl PricingTable {
     /// hash, a pure tag forgery passes \[BANK2\] undetected.
     pub fn digest_without_tags(&self) -> Digest {
         let mut h = TableHasher::new("fpss/data3");
-        for (&(dst, transit), entry) in &self.entries {
+        for ((dst, transit), entry) in self.iter() {
             h.put_u32(dst.raw())
                 .put_u32(transit.raw())
                 .put_i64(entry.price.value());
@@ -500,6 +605,7 @@ impl fmt::Display for PaymentLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -613,23 +719,6 @@ mod tests {
         let mut b = PricingTable::new();
         b.insert(n(1), n(2), entry(&[4]));
         assert_ne!(a.digest(), b.digest(), "tags are part of the hash");
-    }
-
-    #[test]
-    fn data3_total_price_sums_transits() {
-        let mut table = PricingTable::new();
-        for (t, p) in [(2, 4), (3, 6)] {
-            table.insert(
-                n(1),
-                n(t),
-                PriceEntry {
-                    price: Money::new(p),
-                    tags: BTreeSet::new(),
-                },
-            );
-        }
-        assert_eq!(table.total_price_to(n(1)), Money::new(10));
-        assert_eq!(table.total_price_to(n(9)), Money::ZERO);
     }
 
     /// A mutation and the table it should leave, built fresh.
@@ -759,8 +848,120 @@ mod tests {
                     },
                     pricing(&[(1, 3, 9, 4)]),
                 ),
+                (
+                    |t| {
+                        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+                        t.install_dst(
+                            n(1),
+                            pricing(&[(1, 3, 9, 4)]).rows(n(1)).to_vec(),
+                            &mut changed,
+                            &mut retracted,
+                        );
+                        assert!(changed.is_empty() && retracted.is_empty());
+                    },
+                    pricing(&[(1, 3, 9, 4)]),
+                ),
+                (
+                    |t| {
+                        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+                        t.install_dst(n(1), Vec::new(), &mut changed, &mut retracted);
+                        assert_eq!(retracted, vec![(n(1), n(3))]);
+                    },
+                    pricing(&[]),
+                ),
+                (
+                    |t| {
+                        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+                        t.install_dst(
+                            n(4),
+                            vec![(n(2), entry(1, 5))],
+                            &mut changed,
+                            &mut retracted,
+                        );
+                        assert_eq!(changed.len(), 1);
+                    },
+                    pricing(&[(4, 2, 1, 5)]),
+                ),
             ],
         );
+    }
+
+    /// A pricing table from `(dst, transit, (price, tag bitmask))` rows;
+    /// a later row for the same key wins. Bitmasks over seven ids reach
+    /// spilled tag sets.
+    fn masked_pricing(rows: &[(u32, u32, (i64, u32))]) -> PricingTable {
+        let mut table = PricingTable::new();
+        for &(dst, transit, (price, mask)) in rows {
+            let tags = (0..7).filter(|t| mask & (1 << t) != 0).map(n).collect();
+            let entry = PriceEntry {
+                price: Money::new(price),
+                tags,
+            };
+            table.insert(n(dst), n(transit), entry);
+        }
+        table
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Installing a table destination by destination announces exactly
+        /// what a whole-table replace announces — the same changed rows,
+        /// the same retractions in the same order — and both agree with
+        /// the key-by-key diff of the two tables. The result equals the
+        /// new table, with the digest of a freshly built copy.
+        #[test]
+        fn per_destination_install_matches_whole_table_replace(
+            old in proptest::collection::vec((0u32..5, 0u32..5, (0i64..3, 0u32..128)), 0..16),
+            new in proptest::collection::vec((0u32..5, 0u32..5, (0i64..3, 0u32..128)), 0..16),
+        ) {
+            let (old, new) = (masked_pricing(&old), masked_pricing(&new));
+            let expected_changed: Vec<PriceRow> = new
+                .iter()
+                .filter(|&((dst, transit), entry)| old.entry(dst, transit) != Some(entry))
+                .map(|((dst, transit), e)| PriceRow {
+                    dst,
+                    transit,
+                    price: e.price,
+                    tags: e.tags.clone(),
+                })
+                .collect();
+            let expected_retracted: Vec<(NodeId, NodeId)> = old
+                .iter()
+                .map(|(key, _)| key)
+                .filter(|&(dst, transit)| new.entry(dst, transit).is_none())
+                .collect();
+
+            let mut whole = old.clone();
+            let _ = whole.digest();
+            let (changed, retracted) = whole.replace(new.clone());
+            prop_assert_eq!(&changed, &expected_changed);
+            prop_assert_eq!(&retracted, &expected_retracted);
+
+            let mut by_dst = old.clone();
+            let _ = by_dst.digest();
+            let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+            for dst in (0..5).map(n) {
+                by_dst.install_dst(dst, new.rows(dst).to_vec(), &mut changed, &mut retracted);
+            }
+            prop_assert_eq!(&changed, &expected_changed);
+            prop_assert_eq!(&retracted, &expected_retracted);
+
+            let fresh = masked_pricing(
+                &new.iter()
+                    .map(|((d, t), e)| {
+                        let mask = e.tags.iter().map(|tag| 1 << tag.raw()).sum();
+                        (d.raw(), t.raw(), (e.price.value(), mask))
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            for table in [&whole, &by_dst] {
+                prop_assert_eq!(table, &fresh);
+                prop_assert_eq!(table.len(), fresh.len());
+                prop_assert_eq!(table.digest(), fresh.digest());
+                prop_assert_eq!(table.digest_without_tags(), fresh.digest_without_tags());
+            }
+        }
     }
 
     #[test]

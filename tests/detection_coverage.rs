@@ -5,9 +5,16 @@
 //! execution deviations → reconciliation penalty).
 
 use specfaith::fpss::deviation::standard_catalog;
+use specfaith::fpss::msg::RouteRow;
 use specfaith::prelude::*;
 
 fn figure1_scenario() -> (specfaith::graph::generators::Figure1, Scenario) {
+    figure1_scenario_under(Mechanism::faithful())
+}
+
+fn figure1_scenario_under(
+    mechanism: Mechanism,
+) -> (specfaith::graph::generators::Figure1, Scenario) {
     let net = figure1();
     let scenario = Scenario::builder()
         .topology(TopologySource::Figure1)
@@ -28,7 +35,7 @@ fn figure1_scenario() -> (specfaith::graph::generators::Figure1, Scenario) {
                 packets: 2,
             },
         ]))
-        .mechanism(Mechanism::faithful())
+        .mechanism(mechanism)
         .build();
     (net, scenario)
 }
@@ -132,5 +139,51 @@ fn detection_rate_in_sweep_matches_expectation() {
                 outcome.deviation
             );
         }
+    }
+}
+
+/// Advertises every multi-hop route with its first transit repeated: the
+/// endpoints are right, but the path is not simple.
+#[derive(Debug)]
+struct RepeatFirstTransit;
+
+impl RationalStrategy for RepeatFirstTransit {
+    fn spec(&self) -> DeviationSpec {
+        DeviationSpec::new(
+            "repeat-first-transit",
+            DeviationSurface::only(ExternalActionKind::Computation),
+        )
+        .in_phase("construction-2")
+    }
+
+    fn announce_routing(&mut self, _me: NodeId, honest: Vec<RouteRow>) -> Vec<RouteRow> {
+        honest
+            .into_iter()
+            .map(|mut row| {
+                if row.path.len() > 2 {
+                    row.path.insert(1, row.path[1]);
+                }
+                row
+            })
+            .collect()
+    }
+}
+
+/// A non-simple route advertisement is a malformed row: receivers drop
+/// it, so the run completes under both mechanisms wherever the deviant
+/// sits, and the faithful checkers catch the lie in the announced table.
+#[test]
+fn non_simple_route_adverts_are_dropped_and_detected() {
+    let (net, faithful) = figure1_scenario();
+    let (_, plain) = figure1_scenario_under(Mechanism::Plain);
+    for deviant in net.topology.nodes() {
+        let run = plain.run_with_deviant(deviant, Box::new(RepeatFirstTransit), 5);
+        assert!(!run.truncated, "plain run with deviant {deviant} truncated");
+        let run = faithful.run_with_deviant(deviant, Box::new(RepeatFirstTransit), 5);
+        assert!(
+            !run.truncated,
+            "faithful run with deviant {deviant} truncated"
+        );
+        assert!(run.detected, "deviant {deviant} escaped detection");
     }
 }
