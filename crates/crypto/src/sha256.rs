@@ -5,6 +5,24 @@
 //! across nodes and runs. This implementation is a direct transcription of
 //! the FIPS 180-4 specification, validated against the published test
 //! vectors (see the test module).
+//!
+//! # Backends
+//!
+//! Only block compression has two backends; padding, buffering and the
+//! length encoding are shared. On x86-64, every compression asks the CPU
+//! whether it has the SHA extensions (plus the SSSE3 and SSE4.1 shuffles
+//! the rounds use) and, if so, runs the SHA-NI rounds
+//! (`sha256rnds2`, `sha256msg1`, `sha256msg2`). Everywhere else it runs the
+//! portable rounds. The answer is cached by the standard library's feature
+//! detection, so the check is one load. Both backends compute the same
+//! function, so no digest depends on the machine: the tests run each
+//! backend directly on the FIPS vectors and on random inputs, the SHA-NI
+//! one only on CPUs that have it.
+//!
+//! The SHA-NI rounds are the module's only `unsafe` code: a
+//! `#[target_feature]` function, called only after detection, whose loads
+//! and stores stay inside the state array, the block slice and the round
+//! constants (each `// SAFETY:` comment says why).
 
 use std::fmt;
 
@@ -118,6 +136,16 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Finishes and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`], compressing whole blocks with `compress`.
+    fn update_with(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) {
         self.length_bits = self
             .length_bits
             .checked_add((data.len() as u64) * 8)
@@ -129,26 +157,22 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut buf = [0u8; 64];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            input = rest;
+        let (blocks, rest) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
     }
 
-    /// Finishes and returns the digest.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Sha256::finalize`], compressing with `compress`.
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
         let length_bits = self.length_bits;
         // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
         self.buffer[self.buffered] = 0x80;
@@ -157,24 +181,36 @@ impl Sha256 {
             for byte in &mut self.buffer[self.buffered..] {
                 *byte = 0;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &self.buffer);
             self.buffered = 0;
         }
         for byte in &mut self.buffer[self.buffered..56] {
             *byte = 0;
         }
         self.buffer[56..].copy_from_slice(&length_bits.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compresses `blocks` (a whole number of 64-byte blocks) into `state`,
+/// with SHA-NI where the CPU has it and the portable rounds otherwise.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable backend: the FIPS 180-4 rounds, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -187,7 +223,7 @@ impl Sha256 {
                 .wrapping_add(w[t - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -208,14 +244,107 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The SHA-NI backend (x86-64 SHA extensions).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every extension [`rounds`] is compiled for.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses `blocks` into `state` and returns `true`, or returns
+    /// `false` without touching `state` on a CPU without SHA-NI.
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: `detected` just confirmed that the CPU has every target
+        // feature `rounds` is compiled with.
+        unsafe { rounds(state, blocks) };
+        true
+    }
+
+    /// The next four message-schedule words, `W[t..t + 4]`, from the
+    /// sixteen before them in four vectors, oldest first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// The 64 rounds of every 64-byte block of `blocks`, in order.
+    ///
+    /// Calling it is `unsafe` outside code compiled with these target
+    /// features: the caller must first confirm them with [`detected`],
+    /// as [`compress`] does.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Byte order: message words are big-endian, lanes little-endian.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is eight `u32`s, so both unaligned 16-byte loads
+        // stay inside it.
+        let (dcba, hgfe) = unsafe {
+            let at = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(at), _mm_loadu_si128(at.add(1)))
+        };
+        // The rounds instructions want the state as ABEF and CDGH.
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let k_words: &'static [u32; 64] = &K;
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 bytes, so the four unaligned 16-byte
+            // loads stay inside it.
+            let mut w = unsafe {
+                let at = block.as_ptr().cast::<__m128i>();
+                [
+                    _mm_loadu_si128(at),
+                    _mm_loadu_si128(at.add(1)),
+                    _mm_loadu_si128(at.add(2)),
+                    _mm_loadu_si128(at.add(3)),
+                ]
+            };
+            for word in &mut w {
+                *word = _mm_shuffle_epi8(*word, be_words);
+            }
+            for i in 0..16 {
+                if i >= 4 {
+                    w[i % 4] = schedule(w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                }
+                // SAFETY: `i < 16`, so the load reads `K[4 * i..4 * i + 4]`.
+                let k = unsafe { _mm_loadu_si128(k_words.as_ptr().add(4 * i).cast()) };
+                let wk = _mm_add_epi32(w[i % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above, both stores stay inside `state`.
+        unsafe {
+            let at = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(at, dcba);
+            _mm_storeu_si128(at.add(1), hgfe);
+        }
     }
 }
 
@@ -226,42 +355,77 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
+/// A compression backend, for the tests that drive each one directly.
+#[cfg(test)]
+type Backend = fn(&mut [u32; 8], &[u8]);
+
+/// The backends this CPU runs, by name: the portable one always, and
+/// SHA-NI where the CPU has it.
+#[cfg(test)]
+fn backends() -> Vec<(&'static str, Backend)> {
+    let mut all: Vec<(&'static str, Backend)> = vec![("portable", compress_portable)];
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        all.push(("sha-ni", |state, blocks| {
+            assert!(sha_ni::compress(state, blocks))
+        }));
+    }
+    all
+}
+
+/// SHA-256 of `parts`, fed in order, compressed by `backend` only.
+#[cfg(test)]
+fn digest_with(backend: Backend, parts: &[&[u8]]) -> Digest {
+    let mut h = Sha256::new();
+    for part in parts {
+        h.update_with(part, backend);
+    }
+    h.finalize_with(backend)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // FIPS 180-4 / NIST CAVP test vectors.
+    /// The FIPS 180-4 / NIST CAVP vectors, through the dispatching hash
+    /// and through each backend directly.
     #[test]
-    fn empty_message() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn each_backend_matches_the_fips_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (message, hex) in vectors {
+            assert_eq!(sha256(message).to_hex(), hex, "{} bytes", message.len());
+        }
+        let backends = backends();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(backends.len(), 1 + sha_ni::detected() as usize);
+        for (name, backend) in backends {
+            for (message, hex) in vectors {
+                assert_eq!(
+                    digest_with(backend, &[message]).to_hex(),
+                    hex,
+                    "{name}, {} bytes",
+                    message.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -314,6 +478,25 @@ mod proptests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             prop_assert_eq!(h.finalize(), sha256(&data));
+        }
+
+        /// Each backend, fed a random message in two parts split
+        /// anywhere, agrees with itself fed it whole and with the
+        /// dispatching one-shot hash — so SHA-NI and the portable rounds
+        /// agree with each other wherever the CPU has both.
+        #[test]
+        fn each_backend_matches_across_lengths_and_splits(
+            data in proptest::collection::vec(any::<u8>(), 0..1024),
+            split in 0usize..1024,
+        ) {
+            let split = split.min(data.len());
+            let expected = sha256(&data);
+            for (name, backend) in backends() {
+                let split_digest = digest_with(backend, &[&data[..split], &data[split..]]);
+                prop_assert!(split_digest == expected, "{name}: split at {split} of {}", data.len());
+                let whole = digest_with(backend, &[&data]);
+                prop_assert!(whole == expected, "{name}: {} bytes whole", data.len());
+            }
         }
 
         #[test]

@@ -32,7 +32,7 @@ use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
 use specfaith_fpss::deviation::{Faithful, RationalStrategy};
 use specfaith_fpss::node::{StreamCommand, TAG_STREAM};
-use specfaith_fpss::pricing::{expected_tables_for, tables_agree};
+use specfaith_fpss::pricing::tables_match;
 use specfaith_fpss::runner::ReferenceCheck;
 use specfaith_fpss::settle::SettlementConfig;
 use specfaith_fpss::traffic::TrafficMatrix;
@@ -313,13 +313,7 @@ fn harvest(
         };
         let ok = config.reference_check.sources(n).iter().all(|&id| {
             let core = net.node(id).node().core();
-            let (expected_routing, expected_pricing) = expected_tables_for(&routes, id);
-            tables_agree(
-                core.routes(),
-                core.prices(),
-                &expected_routing,
-                &expected_pricing,
-            )
+            tables_match(&routes, id, core.routes(), core.prices())
         });
         // A misreport's single-use cache is dropped here; the pinned
         // true-cost cache stays.

@@ -6,16 +6,26 @@
 //! rely on that equality, and the strategyproofness of the whole mechanism
 //! (Proposition 2's first leg) is tested against this reference via
 //! [`RoutingProblem`].
+//!
+//! The run engines verify a node's converged tables with
+//! [`tables_match`], which walks the node's DATA2 and DATA3\* rows and
+//! checks each against the [`RouteCache`] in place: row counts first, then
+//! every route against the LCP tree and every price against its avoid
+//! tree, stopping at the first mismatch. It gives the same answer as
+//! building the tables with [`expected_tables_for`] and comparing them
+//! with [`tables_agree`], which stays the oracle it is tested against
+//! (`tests/reference_check_oracle.rs`), without allocating a table.
 
 use crate::state::{PricingTable, RoutingTable};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_core::vcg::CostMinimizationProblem;
-use specfaith_graph::cache::{CacheScope, RouteCache};
+use specfaith_graph::cache::{AvoidTree, CacheScope, RouteCache};
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::lcp::{lcp_tree, lcp_tree_avoiding};
 use specfaith_graph::path::PathMetric;
 use specfaith_graph::topology::Topology;
+use std::sync::Arc;
 
 /// The VCG per-packet payment from `src` to transit `k` for traffic to
 /// `dst`, borrowing every route from `routes`. Returns `None` when `k` is
@@ -55,12 +65,12 @@ pub fn vcg_payment(routes: &RouteCache, src: NodeId, dst: NodeId, k: NodeId) -> 
 fn payment_from_tree(
     costs: &CostVector,
     best: &PathMetric,
-    avoid_tree: &[Option<PathMetric>],
+    avoid_tree: &AvoidTree,
     dst: NodeId,
     k: NodeId,
 ) -> Money {
-    let detour = avoid_tree[dst.index()]
-        .as_ref()
+    let detour = avoid_tree
+        .path(dst)
         .expect("biconnected graph admits a k-avoiding path");
     let c_k = costs.cost(k).value() as i64;
     let d = best.cost().value() as i64;
@@ -76,19 +86,12 @@ pub fn expected_tables_for(routes: &RouteCache, src: NodeId) -> (RoutingTable, P
     let tree = routes.tree(src);
     let mut routing = RoutingTable::new();
     let mut pricing = PricingTable::new();
-    // The same transit recurs across many destinations of one source;
-    // fetch each (src, k) avoid-tree handle from the sparse index once
-    // and index it per destination.
-    let mut avoid_trees: std::collections::BTreeMap<NodeId, specfaith_graph::cache::AvoidTree> =
-        std::collections::BTreeMap::new();
+    let mut avoid_trees = AvoidTrees::new(routes, src);
     for entry in tree.iter().flatten() {
         let dst = entry.destination();
         routing.install(dst, entry.nodes().to_vec());
         for &k in entry.transit_nodes() {
-            let avoid_tree = avoid_trees
-                .entry(k)
-                .or_insert_with(|| routes.tree_avoiding(src, k));
-            let price = payment_from_tree(routes.costs(), entry, avoid_tree, dst, k);
+            let price = payment_from_tree(routes.costs(), entry, avoid_trees.get(k), dst, k);
             pricing.insert(
                 dst,
                 k,
@@ -100,6 +103,74 @@ pub fn expected_tables_for(routes: &RouteCache, src: NodeId) -> (RoutingTable, P
         }
     }
     (routing, pricing)
+}
+
+/// Whether `routing` and `pricing`, node `src`'s converged tables, are the
+/// reference tables [`expected_tables_for`] would build from `routes`,
+/// compared in place without building them: the same answer as
+/// [`tables_agree`] against those tables, so pricing tags are ignored.
+///
+/// The routing table must hold exactly one row per reachable destination,
+/// its LCP. The pricing table must hold exactly one row per reachable
+/// destination and transit on its LCP, with the VCG price. A mismatch
+/// ends the check early, before the remaining avoid trees are fetched.
+///
+/// # Panics
+///
+/// Panics where [`expected_tables_for`] would: when a priced transit has
+/// no avoiding path to the destination (the graph is not biconnected).
+pub fn tables_match(
+    routes: &RouteCache,
+    src: NodeId,
+    routing: &RoutingTable,
+    pricing: &PricingTable,
+) -> bool {
+    let tree = routes.tree(src);
+    let lcp = |dst: NodeId| tree.get(dst.index()).and_then(Option::as_ref);
+    let (reachable, priced) = tree.iter().flatten().fold((0, 0), |(rows, prices), p| {
+        (rows + 1, prices + p.transit_nodes().len())
+    });
+    // Equal row counts and every row expected: with keys unique on both
+    // sides, that makes the two key sets equal.
+    if routing.len() != reachable
+        || pricing.len() != priced
+        || !routing
+            .iter()
+            .all(|(dst, path)| lcp(dst).is_some_and(|p| p.nodes() == path))
+    {
+        return false;
+    }
+    let mut avoid_trees = AvoidTrees::new(routes, src);
+    pricing.iter().all(|((dst, k), entry)| {
+        lcp(dst).is_some_and(|best| {
+            best.transit_nodes().contains(&k)
+                && entry.price
+                    == payment_from_tree(routes.costs(), best, avoid_trees.get(k), dst, k)
+        })
+    })
+}
+
+/// One source's avoid trees, each fetched from the cache's sparse index
+/// once: the same transit recurs across many destinations of a source.
+struct AvoidTrees<'a> {
+    routes: &'a RouteCache,
+    src: NodeId,
+    by_transit: Vec<Option<Arc<AvoidTree>>>,
+}
+
+impl<'a> AvoidTrees<'a> {
+    fn new(routes: &'a RouteCache, src: NodeId) -> Self {
+        AvoidTrees {
+            routes,
+            src,
+            by_transit: vec![None; routes.topology().num_nodes()],
+        }
+    }
+
+    /// The `(src, k)` avoid tree.
+    fn get(&mut self, k: NodeId) -> &AvoidTree {
+        self.by_transit[k.index()].get_or_insert_with(|| self.routes.tree_avoiding(self.src, k))
+    }
 }
 
 /// The routing and pricing tables every node *should* converge to under

@@ -13,7 +13,7 @@
 
 use crate::deviation::{Faithful, RationalStrategy};
 use crate::node::{PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
-use crate::pricing::{expected_tables_for, tables_agree};
+use crate::pricing::{tables_agree, tables_match};
 use crate::settle::{settle_plain, SettlementConfig};
 use crate::traffic::TrafficMatrix;
 use specfaith_core::id::NodeId;
@@ -261,10 +261,12 @@ pub struct EventOutcome {
 /// * **In the reference check**: the centralized [`RouteCache`] for the
 ///   post-event cost vector is seeded from the pinned previous fixed point
 ///   (`RouteCache::seeded_from` via [`CacheScope::pin`]), so re-verification
-///   repairs trees instead of re-running Dijkstra per destination. The pin
-///   rolls forward each event and the fresh cache detaches its donor
-///   ([`RouteCache::detach_seed`]) so long streams hold one cache generation,
-///   not an unbounded seeded-from chain.
+///   repairs trees instead of re-running Dijkstra per destination, and
+///   compares each node's tables against the cache in place
+///   ([`tables_match`]). The pin rolls forward each event and the fresh
+///   cache detaches its donor ([`RouteCache::detach_seed`]) so long streams
+///   hold one cache generation (plus the older plain trees its shared avoid
+///   trees sit on), not an unbounded seeded-from chain.
 ///
 /// [`FpssCore::dsts_affected_by_cost`]: crate::node::FpssCore::dsts_affected_by_cost
 /// [`CacheScope::pin`]: specfaith_graph::cache::CacheScope::pin
@@ -345,13 +347,7 @@ impl PlainRunState {
             };
             let ok = check_sources.iter().all(|&id| {
                 let core = net.node(id).core();
-                let (expected_routing, expected_pricing) = expected_tables_for(&routes, id);
-                tables_agree(
-                    core.routes(),
-                    core.prices(),
-                    &expected_routing,
-                    &expected_pricing,
-                )
+                tables_match(&routes, id, core.routes(), core.prices())
             });
             if pin_reference {
                 // Keep the checked (and now partially materialized) cache as
@@ -511,13 +507,7 @@ impl PlainRunState {
         let check_sources = self.config.reference_check.sources(n);
         let ok = check_sources.iter().all(|&id| {
             let core = self.net.node(id).core();
-            let (expected_routing, expected_pricing) = expected_tables_for(&routes, id);
-            tables_agree(
-                core.routes(),
-                core.prices(),
-                &expected_routing,
-                &expected_pricing,
-            )
+            tables_match(&routes, id, core.routes(), core.prices())
         });
         // The check above materialized every tree it needed; drop the donor
         // link so the stream holds one cache generation, not a chain.

@@ -25,12 +25,31 @@
 //! to `n²`. At `n = 1024` a fully-dense table would be ~1M slots before a
 //! single query; the sparse index allocates nothing until asked.
 //!
+//! An avoid tree stores only its *detached region*: the entries whose
+//! path in the plain tree crosses the avoided node, which are the only
+//! ones removing it can change (see [`repair`](crate::repair)). The rest
+//! it reads from an [`Arc`] of the plain tree it was repaired from (see
+//! [`AvoidTree`]). On the scale-free `n = 256` stream benchmark a region
+//! averages 8.5–8.9 of 256 entries, so the ~5,500 avoid trees of a
+//! 64-source reference check hold ~47k paths instead of ~1.4M.
+//!
 //! Both kinds of tree are held by [`Arc`], so a cache seeded from a donor
 //! ([`RouteCache::seeded_from`]) can share every donor tree its one-node
 //! cost delta provably leaves unchanged. The donor is only peeked for
 //! this and never made to compute. In a stream, where each generation is
 //! seeded from the one before, an event then pays only for the trees it
 //! touches; the rest pass from generation to generation by reference.
+//!
+//! A region keeps the plain tree it was built on alive. A shared avoid
+//! tree brings its base along, even where the new generation has
+//! repaired its own plain tree for that source, and
+//! [`RouteCache::detach_seed`] does not release it. The bound: besides
+//! its own `n` plain trees, a cache holds each avoid tree's region and at
+//! most one other plain tree per avoid tree. At worst that is the
+//! full-copy form's `n` entries per avoid tree plus the regions. In
+//! practice it is far less, since the avoid trees of one source share a
+//! single base until that source's plain tree changes, and the ones the
+//! change touches are rebuilt on the new base.
 //!
 //! # Scoping
 //!
@@ -73,10 +92,69 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// shard lock); 16 keeps the per-cache overhead at sixteen empty maps.
 const AVOID_SHARDS: usize = 16;
 
-/// A lazily computed `d_{G−avoid}` tree, shared by reference: entry
-/// `dst.index()` is the lowest-cost `src → dst` path avoiding the node
-/// the tree was keyed under, or `None` where unreachable without it.
-pub type AvoidTree = Arc<[Option<PathMetric>]>;
+/// A plain LCP tree, shared by reference: entry `dst.index()` is the
+/// lowest-cost path from the tree's source to `dst`, or `None` where
+/// unreachable.
+pub type PlainTree = Arc<[Option<PathMetric>]>;
+
+/// A `d_{G−avoid}` tree, stored as its detached region on top of the
+/// plain tree it was [repaired](crate::repair::repair_avoiding) from.
+///
+/// Removing `avoid` changes only the entries whose base path crosses it
+/// (see the [`repair`](crate::repair) module docs), so the tree holds the
+/// base by [`Arc`] and owns just those entries, sorted by destination.
+/// [`AvoidTree::path`] answers every destination exactly: from the region
+/// where the base path crossed `avoid`, from the base everywhere else.
+pub struct AvoidTree {
+    base: PlainTree,
+    /// `(dst, entry)` for every `dst` whose base path crosses the avoided
+    /// node, ascending by `dst`; `None` where unreachable without it.
+    region: Box<[(NodeId, Option<PathMetric>)]>,
+}
+
+impl AvoidTree {
+    /// The tree `base` becomes with `region`'s entries (ascending by
+    /// destination) in place of its own.
+    pub(crate) fn new(base: PlainTree, region: Box<[(NodeId, Option<PathMetric>)]>) -> Self {
+        debug_assert!(region.windows(2).all(|w| w[0].0 < w[1].0));
+        AvoidTree { base, region }
+    }
+
+    /// The lowest-cost path to `dst` avoiding the tree's node, or `None`
+    /// where no such path exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not a node of the tree's topology.
+    pub fn path(&self, dst: NodeId) -> Option<&PathMetric> {
+        match self.region.binary_search_by_key(&dst, |(at, _)| *at) {
+            Ok(at) => self.region[at].1.as_ref(),
+            Err(_) => self.base[dst.index()].as_ref(),
+        }
+    }
+
+    /// Every entry, in destination order.
+    fn iter(&self) -> impl Iterator<Item = Option<&PathMetric>> + '_ {
+        let mut region = self.region.iter().peekable();
+        self.base.iter().enumerate().map(move |(i, entry)| {
+            match region.next_if(|(dst, _)| dst.index() == i) {
+                Some((_, repaired)) => repaired.as_ref(),
+                None => entry.as_ref(),
+            }
+        })
+    }
+
+    /// Every entry, cloned into the dense form `lcp_tree_avoiding` returns.
+    pub fn to_vec(&self) -> Vec<Option<PathMetric>> {
+        self.iter().map(Option::<&PathMetric>::cloned).collect()
+    }
+}
+
+impl std::fmt::Debug for AvoidTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A 64-bit FNV-1a fingerprint of a `(topology, cost-vector)` pair.
 ///
@@ -109,7 +187,7 @@ fn fingerprint(topo: &Topology, costs: &CostVector) -> u64 {
 /// lock, behind the slot's [`OnceLock`] (so two threads racing on one
 /// pair still compute it once, and threads on different pairs never
 /// serialize each other's Dijkstra runs).
-type AvoidSlots = HashMap<u64, Arc<OnceLock<AvoidTree>>>;
+type AvoidSlots = HashMap<u64, Arc<OnceLock<Arc<AvoidTree>>>>;
 type AvoidShard = Mutex<AvoidSlots>;
 
 struct SparseAvoidIndex {
@@ -134,7 +212,7 @@ impl SparseAvoidIndex {
     }
 
     /// The slot for `key`, created if absent.
-    fn slot(&self, key: u64) -> Arc<OnceLock<AvoidTree>> {
+    fn slot(&self, key: u64) -> Arc<OnceLock<Arc<AvoidTree>>> {
         Arc::clone(self.shard(key).entry(key).or_insert_with(|| {
             self.entries.fetch_add(1, Ordering::Relaxed);
             Arc::new(OnceLock::new())
@@ -142,7 +220,7 @@ impl SparseAvoidIndex {
     }
 
     /// The tree for `key` if it is already computed. Never creates a slot.
-    fn peek(&self, key: u64) -> Option<AvoidTree> {
+    fn peek(&self, key: u64) -> Option<Arc<AvoidTree>> {
         self.shard(key).get(&key)?.get().cloned()
     }
 
@@ -168,9 +246,9 @@ pub struct RouteCache {
     topo: Topology,
     costs: CostVector,
     fingerprint: u64,
-    /// `trees[src]`: the LCP tree rooted at `src`, shared by reference
-    /// like an [`AvoidTree`] so a seeded cache can keep its donor's.
-    trees: Vec<OnceLock<AvoidTree>>,
+    /// `trees[src]`: the LCP tree rooted at `src`, shared by reference so
+    /// a seeded cache can keep its donor's and avoid trees can sit on it.
+    trees: Vec<OnceLock<PlainTree>>,
     /// Sparse `(src, avoid)` index of `d_{G−avoid}` trees.
     avoid_trees: SparseAvoidIndex,
     /// When present, this cache's cost vector differs from `seed.base`'s at
@@ -314,13 +392,25 @@ impl RouteCache {
     /// path `src → dst`, or `None` where unreachable. Computed on first
     /// use, borrowed thereafter.
     pub fn tree(&self, src: NodeId) -> &[Option<PathMetric>] {
+        self.plain(src)
+    }
+
+    /// [`RouteCache::tree`]'s shared handle, which avoid trees hold.
+    fn plain(&self, src: NodeId) -> &PlainTree {
         self.trees[src.index()].get_or_init(|| {
             let Some((base, changed)) = self.donor() else {
                 self.computed.fetch_add(1, Ordering::Relaxed);
                 return lcp_tree(&self.topo, &self.costs, src).into();
             };
-            if let Some(kept) = self.keep(&base, changed, base.trees[src.index()].get(), src, None)
-            {
+            let donor_tree = base.trees[src.index()].get();
+            if let Some(kept) = self.keep(
+                &base,
+                changed,
+                donor_tree,
+                |t, v| t[v.index()].as_ref(),
+                src,
+                None,
+            ) {
                 return kept;
             }
             // Repair the base cache's tree against the one-node cost delta:
@@ -350,21 +440,22 @@ impl RouteCache {
             .map(|s| (Arc::clone(&s.base), s.changed))
     }
 
-    /// The base's `tree` (rooted at `src`, avoiding `avoid`), shared when
-    /// the base holds it and the delta at `changed` provably leaves it
-    /// unchanged.
-    fn keep(
+    /// The base's `tree` (rooted at `src`, avoiding `avoid`, read through
+    /// `entry`), shared when the base holds it and the delta at `changed`
+    /// provably leaves it unchanged.
+    fn keep<T: ?Sized>(
         &self,
         base: &RouteCache,
         changed: NodeId,
-        tree: Option<&AvoidTree>,
+        tree: Option<&Arc<T>>,
+        entry: impl Fn(&T, NodeId) -> Option<&PathMetric>,
         src: NodeId,
         avoid: Option<NodeId>,
-    ) -> Option<AvoidTree> {
+    ) -> Option<Arc<T>> {
         let tree = tree?;
         let kept = cost_change_keeps(
             &self.topo,
-            tree,
+            |v| entry(tree, v),
             src,
             avoid,
             changed,
@@ -386,28 +477,35 @@ impl RouteCache {
     /// Computed by [`repair`](crate::repair)ing this cache's own base tree
     /// for `src` — re-relaxing only the subtree detached by removing
     /// `avoid` — which is exactly equivalent to (and much cheaper than)
-    /// the fresh `d_{G−avoid}` Dijkstra it replaced. A seeded cache
-    /// shares the seed base's tree instead when it can (see
+    /// the fresh `d_{G−avoid}` Dijkstra it replaced. The result stores
+    /// only that subtree, on top of the base tree (see [`AvoidTree`]). A
+    /// seeded cache shares the seed base's tree instead when it can (see
     /// [`RouteCache::seeded_from`]).
     ///
     /// # Panics
     ///
     /// Panics if `avoid == src`.
-    pub fn tree_avoiding(&self, src: NodeId, avoid: NodeId) -> AvoidTree {
+    pub fn tree_avoiding(&self, src: NodeId, avoid: NodeId) -> Arc<AvoidTree> {
         assert!(avoid != src, "cannot avoid the source of the LCP query");
         let key = src.index() as u64 * self.topo.num_nodes() as u64 + avoid.index() as u64;
         let slot = self.avoid_trees.slot(key);
         slot.get_or_init(|| {
             if let Some((base, changed)) = self.donor() {
                 let donor_tree = base.avoid_trees.peek(key);
-                if let Some(kept) = self.keep(&base, changed, donor_tree.as_ref(), src, Some(avoid))
-                {
+                if let Some(kept) = self.keep(
+                    &base,
+                    changed,
+                    donor_tree.as_ref(),
+                    AvoidTree::path,
+                    src,
+                    Some(avoid),
+                ) {
                     return kept;
                 }
             }
-            let base = self.tree(src);
+            let base = self.plain(src);
             self.computed.fetch_add(1, Ordering::Relaxed);
-            repair_avoiding(&self.topo, &self.costs, base, src, avoid).into()
+            Arc::new(repair_avoiding(&self.topo, &self.costs, base, src, avoid))
         })
         .clone()
     }
@@ -421,7 +519,7 @@ impl RouteCache {
     /// The lowest-cost path `src → dst` avoiding `avoid` entirely, or
     /// `None` if no such path exists. Clones the one path at the edge;
     /// loops over many destinations of one `(src, avoid)` pair should
-    /// hold [`RouteCache::tree_avoiding`] instead and index it.
+    /// hold [`RouteCache::tree_avoiding`] instead and query it.
     ///
     /// # Panics
     ///
@@ -432,7 +530,7 @@ impl RouteCache {
             avoid != dst,
             "cannot avoid the destination of the LCP query"
         );
-        self.tree_avoiding(src, avoid)[dst.index()].clone()
+        self.tree_avoiding(src, avoid).path(dst).cloned()
     }
 
     /// How many trees this cache has materialized (fresh Dijkstra runs
@@ -744,6 +842,7 @@ mod tests {
     use super::*;
     use crate::generators::figure1;
     use crate::lcp::lcp_tree_avoiding;
+    use rand::SeedableRng;
     use specfaith_core::money::Cost;
 
     #[test]
@@ -761,12 +860,67 @@ mod tests {
                     continue;
                 }
                 assert_eq!(
-                    &cache.tree_avoiding(src, avoid)[..],
-                    &lcp_tree_avoiding(&net.topology, &net.costs, src, Some(avoid))[..],
+                    cache.tree_avoiding(src, avoid).to_vec(),
+                    lcp_tree_avoiding(&net.topology, &net.costs, src, Some(avoid)),
                     "tree_avoiding({src}, {avoid})"
                 );
             }
         }
+    }
+
+    /// Checks that every avoid tree of `cache` stores exactly the
+    /// destinations whose base path crosses the avoided node, on top of
+    /// the cache's own tree for its source, and returns how many entries
+    /// the regions store in all.
+    fn assert_regions_are_detached_subtrees(cache: &RouteCache) -> usize {
+        let topo = cache.topology();
+        let mut stored = 0;
+        for src in topo.nodes() {
+            for k in topo.nodes().filter(|&k| k != src) {
+                let tree = cache.tree_avoiding(src, k);
+                let crossing: Vec<NodeId> = topo
+                    .nodes()
+                    .filter(|&dst| cache.path(src, dst).is_some_and(|p| p.contains(k)))
+                    .collect();
+                let region: Vec<NodeId> = tree.region.iter().map(|(dst, _)| *dst).collect();
+                assert_eq!(region, crossing, "region of ({src}, avoid {k})");
+                assert!(
+                    std::ptr::eq(&tree.base[..], cache.tree(src)),
+                    "({src}, avoid {k}) sits on the cache's tree for {src}"
+                );
+                stored += region.len();
+            }
+        }
+        stored
+    }
+
+    #[test]
+    fn avoid_trees_store_exactly_the_detached_region() {
+        let net = figure1();
+        let cache = RouteCache::new(net.topology.clone(), net.costs.clone());
+        assert_regions_are_detached_subtrees(&cache);
+        // X reaches Z over X-D-C-Z: avoiding C detaches C and Z only.
+        let region: Vec<NodeId> = cache
+            .tree_avoiding(net.x, net.c)
+            .region
+            .iter()
+            .map(|(dst, _)| *dst)
+            .collect();
+        assert_eq!(region, [net.c, net.z]);
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
+        let n = 64;
+        let topo = crate::generators::scale_free(n, 2, &mut rng);
+        let costs = CostVector::random(n, 1, 20, &mut rng);
+        let cache = RouteCache::new(topo, costs);
+        let stored = assert_regions_are_detached_subtrees(&cache);
+        // Most avoided nodes are leaves of most trees: the regions hold a
+        // small fraction of the n entries per tree a full copy would.
+        assert!(
+            stored * 10 < n * n * (n - 1),
+            "regions store {stored} of {} entries",
+            n * n * (n - 1)
+        );
     }
 
     #[test]
@@ -826,8 +980,8 @@ mod tests {
                         continue;
                     }
                     assert_eq!(
-                        &seeded.tree_avoiding(src, avoid)[..],
-                        &cold.tree_avoiding(src, avoid)[..],
+                        seeded.tree_avoiding(src, avoid).to_vec(),
+                        cold.tree_avoiding(src, avoid).to_vec(),
                         "tree_avoiding({src}, {avoid})"
                     );
                 }

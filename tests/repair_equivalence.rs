@@ -53,8 +53,8 @@ fn equals_fresh_dijkstra(cache: &RouteCache) -> Result<(), TestCaseError> {
         prop_assert_eq!(cache.tree(src), &lcp_tree(topo, costs, src)[..]);
         for avoid in topo.nodes().filter(|&k| k != src) {
             prop_assert_eq!(
-                &cache.tree_avoiding(src, avoid)[..],
-                &lcp_tree_avoiding(topo, costs, src, Some(avoid))[..]
+                cache.tree_avoiding(src, avoid).to_vec(),
+                lcp_tree_avoiding(topo, costs, src, Some(avoid))
             );
         }
     }
@@ -76,13 +76,13 @@ proptest! {
         let topo = family_topology(family, n, &mut rng);
         let costs = CostVector::random(topo.num_nodes(), 0, 15, &mut rng);
         for src in topo.nodes() {
-            let base = lcp_tree(&topo, &costs, src);
+            let base: Arc<[_]> = lcp_tree(&topo, &costs, src).into();
             for avoid in topo.nodes() {
                 if avoid == src {
                     continue;
                 }
                 prop_assert_eq!(
-                    repair_avoiding(&topo, &costs, &base, src, avoid),
+                    repair_avoiding(&topo, &costs, &base, src, avoid).to_vec(),
                     lcp_tree_avoiding(&topo, &costs, src, Some(avoid))
                 );
             }
@@ -141,8 +141,8 @@ proptest! {
                     continue;
                 }
                 prop_assert_eq!(
-                    &seeded.tree_avoiding(src, avoid)[..],
-                    &cold.tree_avoiding(src, avoid)[..]
+                    seeded.tree_avoiding(src, avoid).to_vec(),
+                    cold.tree_avoiding(src, avoid).to_vec()
                 );
             }
         }
