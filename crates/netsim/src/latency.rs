@@ -36,9 +36,12 @@ impl LatencyModel for FixedLatency {
 
 /// A base delay plus uniform jitter in `0..=jitter` microseconds.
 ///
-/// Jitter exercises the protocols' insensitivity to message ordering
-/// across links (FIFO per link is still guaranteed by event ordering when
-/// jitter is zero; with jitter, cross-link races become visible).
+/// Delays are drawn independently per message, but the simulator keeps
+/// every directed link FIFO: it raises a delivery that would land before
+/// the link's previous one (see `Network`'s event loop), and a throughput
+/// model's delivery is scheduled when its serialization completes. So
+/// jitter exercises the protocols' insensitivity to message ordering
+/// *across* links: only cross-link races become visible.
 #[derive(Clone, Copy, Debug)]
 pub struct JitteredLatency {
     base: u64,

@@ -239,6 +239,10 @@ pub struct Network<A: Actor, L> {
     /// Hot per-transfer scheduling state, indexed by transfer id. Grows
     /// only when a model answers `Transfer` (never under `Ideal`).
     times: Vec<TransferTimes>,
+    /// The latest delivery scheduled on each directed link, indexed
+    /// `from · n + to`: links are FIFO, so a delivery drawn earlier than
+    /// its link's last one is raised to it (see `Network::fifo`).
+    link_clock: Vec<SimTime>,
     next_transfer: u64,
     now: SimTime,
     seq: u64,
@@ -285,6 +289,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             queue: BinaryHeap::new(),
             pending: BTreeMap::new(),
             times: Vec::new(),
+            link_clock: vec![SimTime::ZERO; n * n],
             next_transfer: 0,
             now: SimTime::ZERO,
             seq: 0,
@@ -416,6 +421,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             );
             match outcome.verdict {
                 SendVerdict::Deliver { at } => {
+                    let at = self.fifo(from, to, at);
                     self.seq += 1;
                     self.queue.push(Reverse(Event {
                         at,
@@ -483,6 +489,16 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                 }));
             }
         }
+    }
+
+    /// Raises a delivery scheduled on `from → to` to no earlier than the
+    /// link's previous one, and records it. Jittered delays are drawn
+    /// independently, so without this a later message could overtake an
+    /// earlier one on the same link; equal times keep send order by `seq`.
+    fn fifo(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
+        let last = &mut self.link_clock[from.index() * self.actors.len() + to.index()];
+        *last = (*last).max(at);
+        *last
     }
 
     fn invoke(&mut self, node: NodeId, call: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
@@ -574,9 +590,10 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                     EventKind::Complete { id } => {
                         let done = self.model.on_serialized(TransferId(id), self.now);
                         let transfer = self.pending.remove(&id).expect("checked live above");
+                        let at = self.fifo(transfer.from, transfer.to, done.deliver_at);
                         self.seq += 1;
                         self.queue.push(Reverse(Event {
-                            at: done.deliver_at,
+                            at,
                             seq: self.seq,
                             kind: EventKind::Deliver {
                                 from: transfer.from,
@@ -1120,6 +1137,42 @@ mod tests {
         // The ring holds one token: one in-flight event at a time (plus
         // nothing else), so the gauge reads 1.
         assert_eq!(net.stats().max_queue_depth, 1);
+    }
+
+    #[test]
+    fn jitter_never_reorders_a_link() {
+        /// Node 0 sends 0..40 to node 1 in one handler. With delays drawn
+        /// from 5..=55 µs node 1 must see them in the order fixed latency
+        /// gives: send order when the model delivers directly, and the
+        /// order serialization completes in on a shared link.
+        struct Burst(Vec<u64>);
+        impl Actor for Burst {
+            type Msg = Token;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Token>) {
+                if ctx.id() == NodeId::new(0) {
+                    for i in 0..40 {
+                        ctx.send(NodeId::new(1), Token(i));
+                    }
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, Token>, _: NodeId, msg: Token) {
+                self.0.push(msg.0);
+            }
+        }
+        let seen = |model: &NetModel, jitter: u64| {
+            let mut net = Network::new(
+                Connectivity::fully_connected(2),
+                vec![Burst(Vec::new()), Burst(Vec::new())],
+                JitteredLatency::new(5, jitter),
+                3,
+            )
+            .with_network(model);
+            net.run();
+            std::mem::take(&mut net.node_mut(n(1)).0)
+        };
+        assert_eq!(seen(&NetModel::Ideal, 50), (0..40).collect::<Vec<_>>());
+        let shared = NetModel::shared(1_000_000);
+        assert_eq!(seen(&shared, 50), seen(&shared, 0));
     }
 
     #[test]
