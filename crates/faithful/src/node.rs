@@ -1,17 +1,25 @@
-//! The faithful FPSS node: principal + checker roles behind one actor.
+//! The faithful FPSS node: the FPSS engine plus a checker tap and the
+//! bank channel.
 //!
 //! Each topology node simultaneously:
 //!
-//! * runs the FPSS construction/execution protocol as a **principal**
-//!   (reusing [`FpssCore`] and the same pure recompute functions as plain
-//!   FPSS);
-//! * forwards every construction message it receives to its checkers
-//!   (\[PRINC1\]/\[PRINC2\] — through its strategy, which is where
-//!   message-passing deviations live);
+//! * runs the FPSS construction/execution protocol as a **principal**:
+//!   the very engine plain FPSS runs ([`PlainFpssNode`]), sending in
+//!   [`FMsg`];
+//! * forwards every routing and pricing message it receives to its
+//!   checkers (\[PRINC1\]/\[PRINC2\]), through its strategy, which is where
+//!   message-passing deviations live;
 //! * maintains a [`Mirror`] of every neighbor, acting as their **checker**
 //!   (\[CHECK1\]/\[CHECK2\]);
 //! * answers the bank's signed requests: hash reports at checkpoints,
 //!   payment/observation reports after execution.
+//!
+//! The first three are the engine plus [`Checkers`], its [`Tap`]: the
+//! engine calls the tap wherever the principal's run touches the mirrors
+//! (a cost learned or updated, an inbound message, an announcement, a
+//! packet sent, a restart). [`FaithfulNode`] itself keeps only the message
+//! type, the checker-copy intake and the bank channel: a bank restart
+//! restarts the engine, and the green light begins its execution phase.
 
 use crate::checker::Mirror;
 use crate::codec::{BankPayload, MirrorHashes, PrincipalObservation};
@@ -19,11 +27,10 @@ use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::auth::{Authenticated, ChannelKey};
 use specfaith_fpss::deviation::RationalStrategy;
-use specfaith_fpss::msg::{FpssMsg, Packet, PriceRow, RouteRow};
-use specfaith_fpss::node::{FpssCore, StreamCommand, TAG_STREAM};
-use specfaith_fpss::state::PaymentLedger;
+use specfaith_fpss::msg::{FpssMsg, Packet};
+use specfaith_fpss::node::{FpssCore, PlainFpssNode, StreamCommand, Tap, TAG_STREAM};
 use specfaith_netsim::{Actor, Ctx, Payload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Messages of the faithful protocol.
 #[derive(Clone, Debug)]
@@ -58,31 +65,113 @@ impl Payload for FMsg {
     }
 }
 
+impl From<FpssMsg> for FMsg {
+    fn from(msg: FpssMsg) -> Self {
+        FMsg::Fpss(msg)
+    }
+}
+
+/// The checker role of a node: one [`Mirror`] per neighbor, kept in step
+/// with the principal's own run by the engine's tap calls.
+#[derive(Debug)]
+pub struct Checkers {
+    mirrors: BTreeMap<NodeId, Mirror>,
+}
+
+impl Tap for Checkers {
+    type Msg = FMsg;
+
+    fn cost_learned(&mut self, origin: NodeId, declared: Cost) {
+        for mirror in self.mirrors.values_mut() {
+            mirror.learn_cost(origin, declared);
+        }
+    }
+
+    /// Mirrors share the global DATA1, so a cost overwrite reaches every
+    /// checker through the flood itself: `CostUpdate`, like
+    /// `CostAnnounce`, is not forwarded to checkers.
+    fn cost_updated(&mut self, origin: NodeId, declared: Cost) {
+        for mirror in self.mirrors.values_mut() {
+            mirror.update_cost(origin, declared);
+        }
+    }
+
+    /// Records what neighbor `from` announced (or the packet it handed
+    /// over) in its mirror, then forwards a copy of a routing or pricing
+    /// message to every other neighbor: its checkers.
+    fn inbound(
+        &mut self,
+        ctx: &mut Ctx<'_, FMsg>,
+        strategy: &mut dyn RationalStrategy,
+        neighbors: &[NodeId],
+        from: NodeId,
+        msg: &FpssMsg,
+    ) {
+        let mirror = self.mirrors.get_mut(&from);
+        match msg {
+            FpssMsg::RoutingUpdate { rows } => {
+                if let Some(mirror) = mirror {
+                    mirror.record_announced_routing(rows);
+                }
+            }
+            FpssMsg::PricingUpdate { rows, retractions } => {
+                if let Some(mirror) = mirror {
+                    mirror.record_announced_pricing(rows, retractions);
+                }
+            }
+            FpssMsg::Data(pkt) => {
+                if let Some(mirror) = mirror {
+                    mirror.record_packet_from_principal(pkt.src, pkt.dst);
+                }
+                return;
+            }
+            FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } => return,
+        }
+        if let Some(copy) = strategy.forward_to_checkers(from, msg.clone()) {
+            for &c in neighbors {
+                if c != from {
+                    ctx.send(
+                        c,
+                        FMsg::CheckerCopy {
+                            original_from: from,
+                            inner: copy.clone(),
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// What went on the wire is also what the mirrors of the receivers
+    /// must count as this node's input to them.
+    fn announced(&mut self, msg: &FpssMsg) {
+        for mirror in self.mirrors.values_mut() {
+            mirror.record_own_send(msg);
+        }
+    }
+
+    fn packet_sent(&mut self, next: NodeId, pkt: &Packet) {
+        if let Some(mirror) = self.mirrors.get_mut(&next) {
+            mirror.record_own_send(&FpssMsg::Data(*pkt));
+        }
+    }
+
+    fn restarted(&mut self) {
+        for mirror in self.mirrors.values_mut() {
+            mirror.reset_construction();
+        }
+    }
+}
+
 /// The faithful node actor.
 pub struct FaithfulNode {
-    core: FpssCore,
-    true_cost: Cost,
-    declared: Option<Cost>,
-    strategy: Box<dyn RationalStrategy>,
-    mirrors: BTreeMap<NodeId, Mirror>,
+    engine: PlainFpssNode<Checkers>,
     bank: NodeId,
     key: ChannelKey,
     send_seq: u64,
     last_bank_seq: u64,
-    pending_traffic: Vec<(NodeId, u64)>,
-    originated: BTreeMap<NodeId, u64>,
-    delivered_from: BTreeMap<NodeId, u64>,
-    carried: u64,
-    dropped: u64,
-    ledger: PaymentLedger,
-    max_hops: u32,
     auth_failures: u64,
     settled: Option<(Money, Money)>,
-    /// Highest [`FpssMsg::CostUpdate`] epoch seen per origin (including
-    /// this node's own streamed re-declarations).
-    cost_epochs: BTreeMap<NodeId, u64>,
-    /// Engine-queued streaming commands, drained on [`TAG_STREAM`].
-    stream_commands: Vec<StreamCommand>,
 }
 
 impl std::fmt::Debug for FaithfulNode {
@@ -90,8 +179,8 @@ impl std::fmt::Debug for FaithfulNode {
         write!(
             f,
             "FaithfulNode({}, strategy={})",
-            self.core.me(),
-            self.strategy.spec().name()
+            self.engine.core().me(),
+            self.engine.strategy().spec().name()
         )
     }
 }
@@ -124,26 +213,20 @@ impl FaithfulNode {
             })
             .collect();
         FaithfulNode {
-            core: FpssCore::new(me, neighbors),
-            true_cost,
-            declared: None,
-            strategy,
-            mirrors,
+            engine: PlainFpssNode::with_tap(
+                me,
+                neighbors,
+                true_cost,
+                strategy,
+                max_hops,
+                Checkers { mirrors },
+            ),
             bank,
             key,
             send_seq: 0,
             last_bank_seq: 0,
-            pending_traffic: Vec::new(),
-            originated: BTreeMap::new(),
-            delivered_from: BTreeMap::new(),
-            carried: 0,
-            dropped: 0,
-            ledger: PaymentLedger::new(),
-            max_hops,
             auth_failures: 0,
             settled: None,
-            cost_epochs: BTreeMap::new(),
-            stream_commands: Vec::new(),
         }
     }
 
@@ -153,32 +236,32 @@ impl FaithfulNode {
     /// churn commands are a plain-engine concept (see the liveness-hole
     /// discussion on `FaithfulRunState`).
     pub fn queue_stream_command(&mut self, cmd: StreamCommand) {
-        self.stream_commands.push(cmd);
+        self.engine.queue_stream_command(cmd);
     }
 
     /// The construction core.
     pub fn core(&self) -> &FpssCore {
-        &self.core
+        self.engine.core()
     }
 
     /// The declared cost, once started.
     pub fn declared_cost(&self) -> Option<Cost> {
-        self.declared
+        self.engine.declared_cost()
     }
 
     /// Queues execution-phase traffic (sent on the bank's green light).
     pub fn add_traffic(&mut self, dst: NodeId, packets: u64) {
-        self.pending_traffic.push((dst, packets));
+        self.engine.add_traffic(dst, packets);
     }
 
     /// Packets transited (true cost incurred on each).
     pub fn carried(&self) -> u64 {
-        self.carried
+        self.engine.carried()
     }
 
     /// Packets dropped here.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.engine.dropped()
     }
 
     /// Bank-channel verification failures observed by this node.
@@ -193,7 +276,7 @@ impl FaithfulNode {
 
     /// The checker mirror held for `principal`, if it is a neighbor.
     pub fn mirror(&self, principal: NodeId) -> Option<&Mirror> {
-        self.mirrors.get(&principal)
+        self.engine.tap().mirrors.get(&principal)
     }
 
     fn send_to_bank(&mut self, ctx: &mut Ctx<'_, FMsg>, payload: &BankPayload) {
@@ -202,214 +285,10 @@ impl FaithfulNode {
         ctx.send(self.bank, FMsg::Bank(env));
     }
 
-    fn start_construction(&mut self, ctx: &mut Ctx<'_, FMsg>) {
-        let me = self.core.me();
-        let declared = self.strategy.declare_cost(self.true_cost);
-        self.declared = Some(declared);
-        self.core.learn_cost(me, declared);
-        for mirror in self.mirrors.values_mut() {
-            mirror.learn_cost(me, declared);
-        }
-        for &b in self.core.neighbors().to_vec().iter() {
-            ctx.send(
-                b,
-                FMsg::Fpss(FpssMsg::CostAnnounce {
-                    origin: me,
-                    declared,
-                }),
-            );
-        }
-        self.recompute_and_announce(ctx);
-    }
-
-    fn reset_construction(&mut self) {
-        let me = self.core.me();
-        let neighbors = self.core.neighbors().to_vec();
-        self.core = FpssCore::new(me, neighbors);
-        for mirror in self.mirrors.values_mut() {
-            mirror.reset_construction();
-        }
-    }
-
-    fn announce(
-        &mut self,
-        ctx: &mut Ctx<'_, FMsg>,
-        changed_routes: Vec<RouteRow>,
-        changed_prices: Vec<PriceRow>,
-        retractions: Vec<(NodeId, NodeId)>,
-    ) {
-        let me = self.core.me();
-        let routes = self.strategy.announce_routing(me, changed_routes);
-        if !routes.is_empty() {
-            let msg = FpssMsg::RoutingUpdate { rows: routes };
-            for &b in self.core.neighbors().to_vec().iter() {
-                ctx.send(b, FMsg::Fpss(msg.clone()));
-            }
-            // What went on the wire is also what our mirrors of the
-            // receivers must count as "our" input to them.
-            for mirror in self.mirrors.values_mut() {
-                mirror.record_own_send(&msg);
-            }
-        }
-        let prices = self.strategy.announce_pricing(me, changed_prices);
-        if !prices.is_empty() || !retractions.is_empty() {
-            let msg = FpssMsg::PricingUpdate {
-                rows: prices,
-                retractions,
-            };
-            for &b in self.core.neighbors().to_vec().iter() {
-                ctx.send(b, FMsg::Fpss(msg.clone()));
-            }
-            for mirror in self.mirrors.values_mut() {
-                mirror.record_own_send(&msg);
-            }
-        }
-    }
-
-    fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, FMsg>) {
-        let me = self.core.me();
-        let strategy = &mut self.strategy;
-        let (changed_routes, changed_prices, retractions) = self
-            .core
-            .recompute_with(|honest| strategy.install_own_pricing(me, honest));
-        self.announce(ctx, changed_routes, changed_prices, retractions);
-    }
-
-    /// Destination-scoped recompute after `origin`'s declared cost changed
-    /// (see `FpssCore::dsts_affected_by_cost`), falling back to the full
-    /// recompute for strategies with whole-table hooks.
-    fn recompute_after_cost_change(&mut self, ctx: &mut Ctx<'_, FMsg>, origin: NodeId) {
-        if self.strategy.dst_scoped_recompute_safe() {
-            let changed_dsts = self.core.dsts_affected_by_cost(origin);
-            let (routes, prices, retractions) = self.core.recompute_dsts(&changed_dsts, true);
-            self.announce(ctx, routes, prices, retractions);
-        } else {
-            self.recompute_and_announce(ctx);
-        }
-    }
-
-    fn apply_stream_command(&mut self, ctx: &mut Ctx<'_, FMsg>, cmd: StreamCommand) {
-        let me = self.core.me();
-        match cmd {
-            StreamCommand::DeclareCost(cost) => {
-                self.true_cost = cost;
-                let declared = self.strategy.declare_cost(cost);
-                self.declared = Some(declared);
-                let epoch = self.cost_epochs.get(&me).copied().unwrap_or(0) + 1;
-                self.cost_epochs.insert(me, epoch);
-                let changed = self.core.update_cost(me, declared);
-                for mirror in self.mirrors.values_mut() {
-                    mirror.update_cost(me, declared);
-                }
-                for &b in self.core.neighbors().to_vec().iter() {
-                    ctx.send(
-                        b,
-                        FMsg::Fpss(FpssMsg::CostUpdate {
-                            origin: me,
-                            declared,
-                            epoch,
-                        }),
-                    );
-                }
-                if changed {
-                    self.recompute_after_cost_change(ctx, me);
-                }
-            }
-            // Churn commands never reach faithful nodes: the streaming
-            // engine reports the checkpointing liveness hole instead of
-            // streaming them (see `FaithfulRunState::apply_event`).
-            StreamCommand::PurgeNode(_)
-            | StreamCommand::Rejoin
-            | StreamCommand::ResyncNeighbor(_) => {}
-        }
-    }
-
-    fn forward_to_checkers(&mut self, ctx: &mut Ctx<'_, FMsg>, from: NodeId, original: &FpssMsg) {
-        if let Some(copy) = self.strategy.forward_to_checkers(from, original.clone()) {
-            for &c in self.core.neighbors().to_vec().iter() {
-                if c != from {
-                    ctx.send(
-                        c,
-                        FMsg::CheckerCopy {
-                            original_from: from,
-                            inner: copy.clone(),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn send_packet(&mut self, ctx: &mut Ctx<'_, FMsg>, next: NodeId, pkt: Packet) {
-        if let Some(mirror) = self.mirrors.get_mut(&next) {
-            mirror.record_own_send(&FpssMsg::Data(pkt));
-        }
-        ctx.send(next, FMsg::Fpss(FpssMsg::Data(pkt)));
-    }
-
-    fn handle_packet(&mut self, ctx: &mut Ctx<'_, FMsg>, pkt: Packet) {
-        let me = self.core.me();
-        if pkt.dst == me {
-            *self.delivered_from.entry(pkt.src).or_insert(0) += 1;
-            return;
-        }
-        if pkt.hops > self.max_hops {
-            self.dropped += 1;
-            return;
-        }
-        if pkt.src != me && !self.strategy.forward_packet(me, &pkt) {
-            self.dropped += 1;
-            return;
-        }
-        let Some(next) = self.core.routes().next_hop(pkt.dst) else {
-            self.dropped += 1;
-            return;
-        };
-        if pkt.src != me {
-            self.carried += 1;
-        }
-        self.send_packet(
-            ctx,
-            next,
-            Packet {
-                hops: pkt.hops + 1,
-                ..pkt
-            },
-        );
-    }
-
-    fn begin_execution(&mut self, ctx: &mut Ctx<'_, FMsg>) {
-        let me = self.core.me();
-        let flows = std::mem::take(&mut self.pending_traffic);
-        for (dst, packets) in flows {
-            let Some(path) = self.core.routes().path(dst).map(<[NodeId]>::to_vec) else {
-                continue;
-            };
-            let transits: Vec<NodeId> = if path.len() > 2 {
-                path[1..path.len() - 1].to_vec()
-            } else {
-                Vec::new()
-            };
-            for _ in 0..packets {
-                *self.originated.entry(dst).or_insert(0) += 1;
-                for &k in &transits {
-                    let price = self.core.prices().price(dst, k).unwrap_or(Money::ZERO);
-                    self.ledger.accrue(k, price);
-                }
-                self.handle_packet(
-                    ctx,
-                    Packet {
-                        src: me,
-                        dst,
-                        hops: 0,
-                    },
-                );
-            }
-        }
-    }
-
     fn hash_report(&mut self) -> BankPayload {
         let mirrors = self
+            .engine
+            .tap_mut()
             .mirrors
             .values_mut()
             .map(|mirror| {
@@ -423,32 +302,34 @@ impl FaithfulNode {
                 }
             })
             .collect();
+        let core = self.engine.core();
         BankPayload::HashReport {
-            own_routing: self.core.routes().digest(),
-            own_pricing: self.core.prices().digest(),
+            own_routing: core.routes().digest(),
+            own_pricing: core.prices().digest(),
             mirrors,
         }
     }
 
     fn payment_report(&mut self) -> BankPayload {
-        let me = self.core.me();
-        let honest = self.ledger.to_entries();
-        let reported = self.strategy.report_owed(me, honest);
+        let summary = self.engine.execution_summary();
         BankPayload::PaymentReport {
-            owed: reported
+            owed: summary
+                .reported_owed
                 .into_iter()
                 .map(|(to, amount)| (to.raw(), amount.value()))
                 .collect(),
-            originated: self
+            originated: summary
                 .originated
-                .iter()
-                .map(|(&dst, &count)| (dst.raw(), count))
+                .into_iter()
+                .map(|(dst, count)| (dst.raw(), count))
                 .collect(),
         }
     }
 
     fn observation_report(&mut self) -> BankPayload {
         let principals = self
+            .engine
+            .tap_mut()
             .mirrors
             .values_mut()
             .map(|mirror| {
@@ -500,11 +381,8 @@ impl FaithfulNode {
                 let report = self.hash_report();
                 self.send_to_bank(ctx, &report);
             }
-            BankPayload::Restart => {
-                self.reset_construction();
-                self.start_construction(ctx);
-            }
-            BankPayload::GreenLight => self.begin_execution(ctx),
+            BankPayload::Restart => self.engine.restart(ctx),
+            BankPayload::GreenLight => self.engine.begin_execution(ctx),
             BankPayload::RequestReports => {
                 let payments = self.payment_report();
                 self.send_to_bank(ctx, &payments);
@@ -532,150 +410,23 @@ impl Actor for FaithfulNode {
     type Msg = FMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, FMsg>) {
-        self.start_construction(ctx);
+        self.engine.start(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, FMsg>, tag: u64) {
         if tag == TAG_STREAM {
-            let cmds = std::mem::take(&mut self.stream_commands);
-            for cmd in cmds {
-                self.apply_stream_command(ctx, cmd);
-            }
+            self.engine.run_stream_commands(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, FMsg>, from: NodeId, msg: FMsg) {
         match msg {
-            FMsg::Fpss(FpssMsg::CostAnnounce { origin, declared }) => {
-                if self.core.learn_cost(origin, declared) {
-                    for mirror in self.mirrors.values_mut() {
-                        mirror.learn_cost(origin, declared);
-                    }
-                    if let Some(reflooded) = self.strategy.reflood_cost(origin, declared) {
-                        for &b in self.core.neighbors().to_vec().iter() {
-                            if b != from {
-                                ctx.send(
-                                    b,
-                                    FMsg::Fpss(FpssMsg::CostAnnounce {
-                                        origin,
-                                        declared: reflooded,
-                                    }),
-                                );
-                            }
-                        }
-                    }
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        // First-write-wins costs only *enable* candidates:
-                        // the affected destinations are exactly those with
-                        // an advertised route through the origin.
-                        let changed_dsts = self.core.dsts_affected_by_cost(origin);
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FMsg::Fpss(FpssMsg::CostUpdate {
-                origin,
-                declared,
-                epoch,
-            }) => {
-                let last = self.cost_epochs.get(&origin).copied().unwrap_or(0);
-                if epoch <= last {
-                    return;
-                }
-                self.cost_epochs.insert(origin, epoch);
-                // Re-flood on epoch newness (the epoch check terminates the
-                // flood), exactly as the plain node does. Like CostAnnounce,
-                // CostUpdate is not checker-forwarded: mirrors share the
-                // global DATA1, so the overwrite reaches every checker
-                // through the flood itself.
-                for &b in self.core.neighbors().to_vec().iter() {
-                    if b != from {
-                        ctx.send(
-                            b,
-                            FMsg::Fpss(FpssMsg::CostUpdate {
-                                origin,
-                                declared,
-                                epoch,
-                            }),
-                        );
-                    }
-                }
-                if self.core.update_cost(origin, declared) {
-                    for mirror in self.mirrors.values_mut() {
-                        mirror.update_cost(origin, declared);
-                    }
-                    self.recompute_after_cost_change(ctx, origin);
-                }
-            }
-            FMsg::Fpss(FpssMsg::RoutingUpdate { rows }) => {
-                if let Some(mirror) = self.mirrors.get_mut(&from) {
-                    mirror.record_announced_routing(&rows);
-                }
-                let original = FpssMsg::RoutingUpdate { rows: rows.clone() };
-                self.forward_to_checkers(ctx, from, &original);
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_route(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FMsg::Fpss(FpssMsg::PricingUpdate { rows, retractions }) => {
-                if let Some(mirror) = self.mirrors.get_mut(&from) {
-                    mirror.record_announced_pricing(&rows, &retractions);
-                }
-                let original = FpssMsg::PricingUpdate {
-                    rows: rows.clone(),
-                    retractions: retractions.clone(),
-                };
-                self.forward_to_checkers(ctx, from, &original);
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_price(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                for &(dst, transit) in &retractions {
-                    if self.core.learn_price_retraction(from, dst, transit) {
-                        changed_dsts.insert(dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        // Advertised prices are not a routing input:
-                        // routing rows cannot change here.
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, false);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FMsg::Fpss(FpssMsg::Data(pkt)) => {
-                if let Some(mirror) = self.mirrors.get_mut(&from) {
-                    mirror.record_packet_from_principal(pkt.src, pkt.dst);
-                }
-                self.handle_packet(ctx, pkt);
-            }
+            FMsg::Fpss(msg) => self.engine.receive(ctx, from, msg),
             FMsg::CheckerCopy {
                 original_from,
                 inner,
             } => {
-                if let Some(mirror) = self.mirrors.get_mut(&from) {
+                if let Some(mirror) = self.engine.tap_mut().mirrors.get_mut(&from) {
                     mirror.feed_forwarded(original_from, &inner);
                 }
             }
@@ -687,7 +438,6 @@ impl Actor for FaithfulNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfaith_fpss::msg::Packet;
 
     /// Pins the faithful-layer wire-size formulas. These feed the network
     /// models' serialization/contention math and the golden byte totals in

@@ -1,10 +1,36 @@
-//! The FPSS node: a reusable pure core plus the plain (no-checkers) actor.
+//! The FPSS node: a reusable pure core plus the one protocol engine.
 //!
 //! [`FpssCore`] holds the construction-phase state (DATA1, DATA2, DATA3*,
 //! neighbor view) and applies the pure recompute functions. It is reused
 //! verbatim by the faithful extension's checker mirrors: a mirror of
 //! principal `P` is simply an `FpssCore` with `me = P` fed by the forwarded
 //! copies of `P`'s inputs.
+//!
+//! [`PlainFpssNode`] is the one FPSS protocol engine: the cost flood and
+//! its streamed re-declarations, routing and pricing intake, the choice
+//! between the destination-scoped and the full recompute, announcements,
+//! packet forwarding and the start of execution. Run as it is, it is the
+//! plain FPSS actor. The faithful node (`specfaith_faithful::node`) runs
+//! the same engine, sending in its own message type (any
+//! `M: From<FpssMsg>`), and adds only a checker [`Tap`] and the bank
+//! channel, so a protocol change is made here, once.
+//!
+//! A tap sees six points of a node's run. Every method does nothing by
+//! default; `()` is the plain node's tap.
+//!
+//! * [`Tap::cost_learned`]: a declared cost was learned (the node's own
+//!   when construction starts, or the first copy of a flooded one), before
+//!   it is re-flooded.
+//! * [`Tap::cost_updated`]: a declared cost was overwritten: the node's own
+//!   streamed re-declaration, always, or a received `CostUpdate` that
+//!   changed DATA1. Called before the recompute.
+//! * [`Tap::inbound`]: a routing, pricing or data message arrived, before
+//!   the engine processes it.
+//! * [`Tap::announced`]: a routing or pricing announcement was sent to
+//!   every neighbor.
+//! * [`Tap::packet_sent`]: a data packet is about to be sent.
+//! * [`Tap::restarted`]: construction was reset and is about to start
+//!   again.
 
 use crate::compute::{
     best_route_to, price_entries_to, recompute_prices, recompute_routes, NeighborView,
@@ -15,6 +41,7 @@ use crate::settle::ExecutionSummary;
 use crate::state::{PaymentLedger, PricingTable, RoutingTable, TransitCostList};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
+use specfaith_crypto::sha256::Digest;
 use specfaith_netsim::{Actor, Ctx};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -96,6 +123,21 @@ impl FpssCore {
     /// \[DATA3*\] access.
     pub fn prices(&self) -> &PricingTable {
         &self.prices
+    }
+
+    /// The `(data1, routing, pricing)` digests of this node's tables.
+    pub fn table_digests(&self) -> (Digest, Digest, Digest) {
+        (
+            self.data1.digest(),
+            self.routes.digest(),
+            self.prices.digest(),
+        )
+    }
+
+    /// Forgets DATA1, both tables and the neighbor view, keeping the node
+    /// id and neighbor list: a construction restart.
+    pub fn reset(&mut self) {
+        *self = FpssCore::new(self.me, std::mem::take(&mut self.neighbors));
     }
 
     /// Records a declared cost. Returns `true` when new.
@@ -306,10 +348,51 @@ impl FpssCore {
     }
 }
 
-/// The plain FPSS node actor: construction by flooding + asynchronous
+/// What an extension layered on the engine sees of one node's protocol
+/// run (see the module docs for when each method is called).
+pub trait Tap {
+    /// The message type the node sends: [`FpssMsg`] itself, or a wider
+    /// type that wraps it.
+    type Msg: From<FpssMsg>;
+
+    /// `origin`'s declared cost was learned.
+    fn cost_learned(&mut self, _origin: NodeId, _declared: Cost) {}
+
+    /// `origin`'s declared cost was overwritten.
+    fn cost_updated(&mut self, _origin: NodeId, _declared: Cost) {}
+
+    /// A routing, pricing or data message from neighbor `from` arrived.
+    /// `strategy` and `neighbors` are the node's own, for a tap that
+    /// passes copies on.
+    fn inbound(
+        &mut self,
+        _ctx: &mut Ctx<'_, Self::Msg>,
+        _strategy: &mut dyn RationalStrategy,
+        _neighbors: &[NodeId],
+        _from: NodeId,
+        _msg: &FpssMsg,
+    ) {
+    }
+
+    /// A routing or pricing announcement was sent to every neighbor.
+    fn announced(&mut self, _msg: &FpssMsg) {}
+
+    /// `pkt` is about to be sent to `next`.
+    fn packet_sent(&mut self, _next: NodeId, _pkt: &Packet) {}
+
+    /// Construction was reset and is about to start again.
+    fn restarted(&mut self) {}
+}
+
+impl Tap for () {
+    type Msg = FpssMsg;
+}
+
+/// The FPSS protocol engine: construction by flooding + asynchronous
 /// recomputation, execution by source routing over the converged tables.
-/// No checkers, no bank — the trust assumptions of the original FPSS.
-pub struct PlainFpssNode {
+/// With the default tap it is the plain FPSS actor: no checkers, no bank,
+/// the trust assumptions of the original FPSS.
+pub struct PlainFpssNode<T: Tap = ()> {
     core: FpssCore,
     true_cost: Cost,
     declared: Option<Cost>,
@@ -330,9 +413,10 @@ pub struct PlainFpssNode {
     dropped: u64,
     ledger: PaymentLedger,
     max_hops: u32,
+    tap: T,
 }
 
-impl std::fmt::Debug for PlainFpssNode {
+impl<T: Tap> std::fmt::Debug for PlainFpssNode<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -344,13 +428,32 @@ impl std::fmt::Debug for PlainFpssNode {
 }
 
 impl PlainFpssNode {
-    /// Creates a node with the given true cost and strategy.
+    /// Creates a plain node with the given true cost and strategy.
     pub fn new(
         me: NodeId,
         neighbors: Vec<NodeId>,
         true_cost: Cost,
         strategy: Box<dyn RationalStrategy>,
         max_hops: u32,
+    ) -> Self {
+        Self::with_tap(me, neighbors, true_cost, strategy, max_hops, ())
+    }
+
+    /// A faithful plain node.
+    pub fn faithful(me: NodeId, neighbors: Vec<NodeId>, true_cost: Cost, max_hops: u32) -> Self {
+        Self::new(me, neighbors, true_cost, Box::new(Faithful), max_hops)
+    }
+}
+
+impl<T: Tap> PlainFpssNode<T> {
+    /// Creates a node whose run `tap` sees.
+    pub fn with_tap(
+        me: NodeId,
+        neighbors: Vec<NodeId>,
+        true_cost: Cost,
+        strategy: Box<dyn RationalStrategy>,
+        max_hops: u32,
+        tap: T,
     ) -> Self {
         let incremental = strategy.dst_scoped_recompute_safe();
         PlainFpssNode {
@@ -368,17 +471,28 @@ impl PlainFpssNode {
             dropped: 0,
             ledger: PaymentLedger::new(),
             max_hops,
+            tap,
         }
-    }
-
-    /// A faithful node.
-    pub fn faithful(me: NodeId, neighbors: Vec<NodeId>, true_cost: Cost, max_hops: u32) -> Self {
-        Self::new(me, neighbors, true_cost, Box::new(Faithful), max_hops)
     }
 
     /// The construction core (tables, DATA1, view).
     pub fn core(&self) -> &FpssCore {
         &self.core
+    }
+
+    /// The node's strategy.
+    pub fn strategy(&self) -> &dyn RationalStrategy {
+        &*self.strategy
+    }
+
+    /// The tap.
+    pub fn tap(&self) -> &T {
+        &self.tap
+    }
+
+    /// Mutable access to the tap.
+    pub fn tap_mut(&mut self) -> &mut T {
+        &mut self.tap
     }
 
     /// The cost this node declared (after its strategy), once started.
@@ -426,171 +540,113 @@ impl PlainFpssNode {
         }
     }
 
-    fn announce(
-        &mut self,
-        ctx: &mut Ctx<'_, FpssMsg>,
-        changed_routes: Vec<RouteRow>,
-        changed_prices: Vec<PriceRow>,
-        retractions: Vec<(NodeId, NodeId)>,
-    ) {
+    /// Starts construction: declares this node's cost (through its
+    /// strategy), floods it and announces the first tables.
+    pub fn start(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let me = self.core.me();
-        let routes = self.strategy.announce_routing(me, changed_routes);
-        if !routes.is_empty() {
-            for &b in self.core.neighbors() {
-                ctx.send(
-                    b,
-                    FpssMsg::RoutingUpdate {
-                        rows: routes.clone(),
-                    },
-                );
-            }
-        }
-        let prices = self.strategy.announce_pricing(me, changed_prices);
-        if !prices.is_empty() || !retractions.is_empty() {
-            for &b in self.core.neighbors() {
-                ctx.send(
-                    b,
-                    FpssMsg::PricingUpdate {
-                        rows: prices.clone(),
-                        retractions: retractions.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Destination-scoped recompute after `origin`'s declared cost changed
-    /// (see [`FpssCore::dsts_affected_by_cost`]), falling back to the full
-    /// recompute for strategies with whole-table hooks.
-    fn recompute_after_cost_change(&mut self, ctx: &mut Ctx<'_, FpssMsg>, origin: NodeId) {
-        if self.incremental {
-            let changed_dsts = self.core.dsts_affected_by_cost(origin);
-            let (routes, prices, retractions) = self.core.recompute_dsts(&changed_dsts, true);
-            self.announce(ctx, routes, prices, retractions);
-        } else {
-            self.recompute_and_announce(ctx);
-        }
-    }
-
-    fn apply_stream_command(&mut self, ctx: &mut Ctx<'_, FpssMsg>, cmd: StreamCommand) {
-        let me = self.core.me();
-        match cmd {
-            StreamCommand::DeclareCost(cost) => {
-                self.true_cost = cost;
-                let declared = self.strategy.declare_cost(cost);
-                self.declared = Some(declared);
-                let epoch = self.cost_epochs.get(&me).copied().unwrap_or(0) + 1;
-                self.cost_epochs.insert(me, epoch);
-                let changed = self.core.update_cost(me, declared);
-                for &b in self.core.neighbors() {
-                    ctx.send(
-                        b,
-                        FpssMsg::CostUpdate {
-                            origin: me,
-                            declared,
-                            epoch,
-                        },
-                    );
-                }
-                if changed {
-                    self.recompute_after_cost_change(ctx, me);
-                }
-            }
-            StreamCommand::PurgeNode(gone) => {
-                self.core.remove_neighbor(gone);
-                self.core.forget_cost(gone);
-                self.cost_epochs.remove(&gone);
-                // Full recompute: the wholesale table replacement is what
-                // drops the departed node's rows (the destination-scoped
-                // path cannot remove a destination it no longer costs).
-                self.recompute_and_announce(ctx);
-            }
-            StreamCommand::Rejoin => {
-                let neighbors = self.core.neighbors().to_vec();
-                self.core = FpssCore::new(me, neighbors);
-                self.cost_epochs.clear();
-                let declared = self.strategy.declare_cost(self.true_cost);
-                self.declared = Some(declared);
-                self.core.learn_cost(me, declared);
-                for &b in self.core.neighbors() {
-                    ctx.send(
-                        b,
-                        FpssMsg::CostAnnounce {
-                            origin: me,
-                            declared,
-                        },
-                    );
-                }
-                self.recompute_and_announce(ctx);
-            }
-            StreamCommand::ResyncNeighbor(back) => {
-                self.core.add_neighbor(back);
-                // The returned node restarts with amnesia: hand it
-                // everything known here as ordinary protocol messages —
-                // duplicates are idempotent on its side (first-write-wins
-                // costs, change-detected table rows).
-                let costs: Vec<(NodeId, Cost)> = self.core.data1().iter().collect();
-                for (origin, declared) in costs {
-                    ctx.send(back, FpssMsg::CostAnnounce { origin, declared });
-                }
-                let rows = self.core.routes().to_rows();
-                if !rows.is_empty() {
-                    ctx.send(back, FpssMsg::RoutingUpdate { rows });
-                }
-                let rows = self.core.prices().to_rows();
-                if !rows.is_empty() {
-                    ctx.send(
-                        back,
-                        FpssMsg::PricingUpdate {
-                            rows,
-                            retractions: Vec::new(),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, FpssMsg>) {
-        let strategy = &mut self.strategy;
-        let me = self.core.me();
-        let (changed_routes, changed_prices, retractions) = self
-            .core
-            .recompute_with(|honest| strategy.install_own_pricing(me, honest));
-        self.announce(ctx, changed_routes, changed_prices, retractions);
-    }
-
-    fn handle_packet(&mut self, ctx: &mut Ctx<'_, FpssMsg>, pkt: Packet) {
-        let me = self.core.me();
-        if pkt.dst == me {
-            *self.delivered_from.entry(pkt.src).or_insert(0) += 1;
-            return;
-        }
-        if pkt.hops > self.max_hops {
-            self.dropped += 1;
-            return;
-        }
-        if pkt.src != me && !self.strategy.forward_packet(me, &pkt) {
-            self.dropped += 1;
-            return;
-        }
-        let Some(next) = self.core.routes().next_hop(pkt.dst) else {
-            self.dropped += 1;
-            return;
+        let declared = self.strategy.declare_cost(self.true_cost);
+        self.declared = Some(declared);
+        self.core.learn_cost(me, declared);
+        self.tap.cost_learned(me, declared);
+        let msg = FpssMsg::CostAnnounce {
+            origin: me,
+            declared,
         };
-        if pkt.src != me {
-            self.carried += 1;
-        }
-        ctx.send(
-            next,
-            FpssMsg::Data(Packet {
-                hops: pkt.hops + 1,
-                ..pkt
-            }),
-        );
+        self.send_to_neighbors(ctx, None, &msg);
+        self.recompute_and_announce(ctx);
     }
 
-    fn begin_execution(&mut self, ctx: &mut Ctx<'_, FpssMsg>) {
+    /// Restarts construction from scratch (a restart the faithful bank
+    /// orders, or a rejoin after downtime): forgets every table and
+    /// declared cost, then [`start`](Self::start)s again.
+    pub fn restart(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
+        self.core.reset();
+        self.tap.restarted();
+        self.start(ctx);
+    }
+
+    /// Handles a protocol message from neighbor `from`.
+    pub fn receive(&mut self, ctx: &mut Ctx<'_, T::Msg>, from: NodeId, msg: FpssMsg) {
+        if !matches!(
+            msg,
+            FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. }
+        ) {
+            let neighbors = self.core.neighbors();
+            self.tap
+                .inbound(ctx, &mut *self.strategy, neighbors, from, &msg);
+        }
+        match msg {
+            FpssMsg::CostAnnounce { origin, declared } => {
+                if self.core.learn_cost(origin, declared) {
+                    self.tap.cost_learned(origin, declared);
+                    if let Some(reflooded) = self.strategy.reflood_cost(origin, declared) {
+                        let msg = FpssMsg::CostAnnounce {
+                            origin,
+                            declared: reflooded,
+                        };
+                        self.send_to_neighbors(ctx, Some(from), &msg);
+                    }
+                    self.recompute_after_cost_change(ctx, origin);
+                }
+            }
+            FpssMsg::CostUpdate {
+                origin,
+                declared,
+                epoch,
+            } => {
+                let last = self.cost_epochs.get(&origin).copied().unwrap_or(0);
+                if epoch <= last {
+                    return;
+                }
+                self.cost_epochs.insert(origin, epoch);
+                // Re-flood on epoch newness (not value change): the flood
+                // must reach nodes that already hold the value through a
+                // different path, and the epoch check terminates it.
+                self.send_to_neighbors(ctx, Some(from), &msg);
+                if self.core.update_cost(origin, declared) {
+                    self.tap.cost_updated(origin, declared);
+                    self.recompute_after_cost_change(ctx, origin);
+                }
+            }
+            FpssMsg::RoutingUpdate { rows } => {
+                let mut changed_dsts = BTreeSet::new();
+                for row in &rows {
+                    if self.core.learn_route(from, row) {
+                        changed_dsts.insert(row.dst);
+                    }
+                }
+                self.recompute_dsts_and_announce(ctx, &changed_dsts, true);
+            }
+            FpssMsg::PricingUpdate { rows, retractions } => {
+                let mut changed_dsts = BTreeSet::new();
+                for row in &rows {
+                    if self.core.learn_price(from, row) {
+                        changed_dsts.insert(row.dst);
+                    }
+                }
+                for &(dst, transit) in &retractions {
+                    if self.core.learn_price_retraction(from, dst, transit) {
+                        changed_dsts.insert(dst);
+                    }
+                }
+                // Advertised prices are not a routing input: routing rows
+                // cannot change here.
+                self.recompute_dsts_and_announce(ctx, &changed_dsts, false);
+            }
+            FpssMsg::Data(pkt) => self.handle_packet(ctx, pkt),
+        }
+    }
+
+    /// Drains the queued [`StreamCommand`]s (the [`TAG_STREAM`] timer).
+    pub fn run_stream_commands(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
+        for cmd in std::mem::take(&mut self.stream_commands) {
+            self.apply_stream_command(ctx, cmd);
+        }
+    }
+
+    /// Starts the execution phase: originates the queued traffic along the
+    /// converged routes, accruing what each packet owes its transit nodes.
+    pub fn begin_execution(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
         let me = self.core.me();
         let flows = std::mem::take(&mut self.pending_traffic);
         for (dst, packets) in flows {
@@ -619,140 +675,188 @@ impl PlainFpssNode {
             }
         }
     }
+
+    /// Sends `msg` to every neighbor except `except`.
+    fn send_to_neighbors(&self, ctx: &mut Ctx<'_, T::Msg>, except: Option<NodeId>, msg: &FpssMsg) {
+        for &b in self.core.neighbors() {
+            if Some(b) != except {
+                ctx.send(b, msg.clone().into());
+            }
+        }
+    }
+
+    fn announce(
+        &mut self,
+        ctx: &mut Ctx<'_, T::Msg>,
+        changed_routes: Vec<RouteRow>,
+        changed_prices: Vec<PriceRow>,
+        retractions: Vec<(NodeId, NodeId)>,
+    ) {
+        let me = self.core.me();
+        let rows = self.strategy.announce_routing(me, changed_routes);
+        if !rows.is_empty() {
+            let msg = FpssMsg::RoutingUpdate { rows };
+            self.send_to_neighbors(ctx, None, &msg);
+            self.tap.announced(&msg);
+        }
+        let rows = self.strategy.announce_pricing(me, changed_prices);
+        if !rows.is_empty() || !retractions.is_empty() {
+            let msg = FpssMsg::PricingUpdate { rows, retractions };
+            self.send_to_neighbors(ctx, None, &msg);
+            self.tap.announced(&msg);
+        }
+    }
+
+    fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, T::Msg>) {
+        let strategy = &mut self.strategy;
+        let me = self.core.me();
+        let (changed_routes, changed_prices, retractions) = self
+            .core
+            .recompute_with(|honest| strategy.install_own_pricing(me, honest));
+        self.announce(ctx, changed_routes, changed_prices, retractions);
+    }
+
+    /// Recomputes after the inputs of `dsts` changed: the
+    /// destination-scoped recompute when the strategy allows it, else the
+    /// full one. Nothing happens when `dsts` is empty.
+    fn recompute_dsts_and_announce(
+        &mut self,
+        ctx: &mut Ctx<'_, T::Msg>,
+        dsts: &BTreeSet<NodeId>,
+        routing_changed: bool,
+    ) {
+        if dsts.is_empty() {
+            return;
+        }
+        if self.incremental {
+            let (routes, prices, retractions) = self.core.recompute_dsts(dsts, routing_changed);
+            self.announce(ctx, routes, prices, retractions);
+        } else {
+            self.recompute_and_announce(ctx);
+        }
+    }
+
+    /// Recomputes after `origin`'s declared cost changed. A first-write
+    /// cost only *enables* candidates, and an overwrite moves only terms
+    /// that read it: either way the affected destinations are those of
+    /// [`FpssCore::dsts_affected_by_cost`].
+    fn recompute_after_cost_change(&mut self, ctx: &mut Ctx<'_, T::Msg>, origin: NodeId) {
+        if self.incremental {
+            let changed_dsts = self.core.dsts_affected_by_cost(origin);
+            self.recompute_dsts_and_announce(ctx, &changed_dsts, true);
+        } else {
+            self.recompute_and_announce(ctx);
+        }
+    }
+
+    fn apply_stream_command(&mut self, ctx: &mut Ctx<'_, T::Msg>, cmd: StreamCommand) {
+        let me = self.core.me();
+        match cmd {
+            StreamCommand::DeclareCost(cost) => {
+                self.true_cost = cost;
+                let declared = self.strategy.declare_cost(cost);
+                self.declared = Some(declared);
+                let epoch = self.cost_epochs.get(&me).copied().unwrap_or(0) + 1;
+                self.cost_epochs.insert(me, epoch);
+                let changed = self.core.update_cost(me, declared);
+                self.tap.cost_updated(me, declared);
+                let msg = FpssMsg::CostUpdate {
+                    origin: me,
+                    declared,
+                    epoch,
+                };
+                self.send_to_neighbors(ctx, None, &msg);
+                if changed {
+                    self.recompute_after_cost_change(ctx, me);
+                }
+            }
+            StreamCommand::PurgeNode(gone) => {
+                self.core.remove_neighbor(gone);
+                self.core.forget_cost(gone);
+                self.cost_epochs.remove(&gone);
+                // Full recompute: the wholesale table replacement is what
+                // drops the departed node's rows (the destination-scoped
+                // path cannot remove a destination it no longer costs).
+                self.recompute_and_announce(ctx);
+            }
+            StreamCommand::Rejoin => {
+                self.cost_epochs.clear();
+                self.restart(ctx);
+            }
+            StreamCommand::ResyncNeighbor(back) => {
+                self.core.add_neighbor(back);
+                // The returned node restarts with amnesia: hand it
+                // everything known here as ordinary protocol messages —
+                // duplicates are idempotent on its side (first-write-wins
+                // costs, change-detected table rows).
+                for (origin, declared) in self.core.data1().iter() {
+                    ctx.send(back, FpssMsg::CostAnnounce { origin, declared }.into());
+                }
+                let rows = self.core.routes().to_rows();
+                if !rows.is_empty() {
+                    ctx.send(back, FpssMsg::RoutingUpdate { rows }.into());
+                }
+                let rows = self.core.prices().to_rows();
+                if !rows.is_empty() {
+                    ctx.send(
+                        back,
+                        FpssMsg::PricingUpdate {
+                            rows,
+                            retractions: Vec::new(),
+                        }
+                        .into(),
+                    );
+                }
+            }
+        }
+    }
+
+    fn handle_packet(&mut self, ctx: &mut Ctx<'_, T::Msg>, pkt: Packet) {
+        let me = self.core.me();
+        if pkt.dst == me {
+            *self.delivered_from.entry(pkt.src).or_insert(0) += 1;
+            return;
+        }
+        if pkt.hops > self.max_hops {
+            self.dropped += 1;
+            return;
+        }
+        if pkt.src != me && !self.strategy.forward_packet(me, &pkt) {
+            self.dropped += 1;
+            return;
+        }
+        let Some(next) = self.core.routes().next_hop(pkt.dst) else {
+            self.dropped += 1;
+            return;
+        };
+        if pkt.src != me {
+            self.carried += 1;
+        }
+        let pkt = Packet {
+            hops: pkt.hops + 1,
+            ..pkt
+        };
+        self.tap.packet_sent(next, &pkt);
+        ctx.send(next, FpssMsg::Data(pkt).into());
+    }
 }
 
-impl Actor for PlainFpssNode {
+impl<T: Tap<Msg = FpssMsg>> Actor for PlainFpssNode<T> {
     type Msg = FpssMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, FpssMsg>) {
-        let me = self.core.me();
-        let declared = self.strategy.declare_cost(self.true_cost);
-        self.declared = Some(declared);
-        self.core.learn_cost(me, declared);
-        for &b in self.core.neighbors() {
-            ctx.send(
-                b,
-                FpssMsg::CostAnnounce {
-                    origin: me,
-                    declared,
-                },
-            );
-        }
-        self.recompute_and_announce(ctx);
+        self.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, FpssMsg>, from: NodeId, msg: FpssMsg) {
-        match msg {
-            FpssMsg::CostAnnounce { origin, declared } => {
-                if self.core.learn_cost(origin, declared) {
-                    if let Some(refloooded) = self.strategy.reflood_cost(origin, declared) {
-                        for &b in self.core.neighbors() {
-                            if b != from {
-                                ctx.send(
-                                    b,
-                                    FpssMsg::CostAnnounce {
-                                        origin,
-                                        declared: refloooded,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    if self.incremental {
-                        // First-write-wins costs only *enable* candidates:
-                        // the affected destinations are exactly those with
-                        // an advertised route through the origin.
-                        let changed_dsts = self.core.dsts_affected_by_cost(origin);
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FpssMsg::CostUpdate {
-                origin,
-                declared,
-                epoch,
-            } => {
-                let last = self.cost_epochs.get(&origin).copied().unwrap_or(0);
-                if epoch <= last {
-                    return;
-                }
-                self.cost_epochs.insert(origin, epoch);
-                // Re-flood on epoch newness (not value change): the flood
-                // must reach nodes that already hold the value through a
-                // different path, and the epoch check terminates it.
-                for &b in self.core.neighbors() {
-                    if b != from {
-                        ctx.send(
-                            b,
-                            FpssMsg::CostUpdate {
-                                origin,
-                                declared,
-                                epoch,
-                            },
-                        );
-                    }
-                }
-                if self.core.update_cost(origin, declared) {
-                    self.recompute_after_cost_change(ctx, origin);
-                }
-            }
-            FpssMsg::RoutingUpdate { rows } => {
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_route(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.incremental {
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FpssMsg::PricingUpdate { rows, retractions } => {
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_price(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                for &(dst, transit) in &retractions {
-                    if self.core.learn_price_retraction(from, dst, transit) {
-                        changed_dsts.insert(dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.incremental {
-                        // Advertised prices are not a routing input:
-                        // routing rows cannot change here.
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, false);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
-                }
-            }
-            FpssMsg::Data(pkt) => self.handle_packet(ctx, pkt),
-        }
+        self.receive(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, FpssMsg>, tag: u64) {
         if tag == TAG_BEGIN_EXECUTION {
             self.begin_execution(ctx);
         } else if tag == TAG_STREAM {
-            let cmds = std::mem::take(&mut self.stream_commands);
-            for cmd in cmds {
-                self.apply_stream_command(ctx, cmd);
-            }
+            self.run_stream_commands(ctx);
         }
     }
 }

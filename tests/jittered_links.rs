@@ -16,7 +16,10 @@ use specfaith::prelude::*;
 use specfaith::scenario::RunReport;
 use specfaith_netsim::Latency;
 
-const JITTER: Latency = Latency::Jittered { base: 10, jitter: 7 };
+const JITTER: Latency = Latency::Jittered {
+    base: 10,
+    jitter: 7,
+};
 
 fn jittered(topology: TopologySource, mechanism: Mechanism) -> ScenarioBuilder {
     Scenario::builder()
