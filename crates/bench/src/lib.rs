@@ -1,8 +1,9 @@
 //! # specfaith-bench
 //!
-//! Shared helpers for the Criterion benchmarks and the experiment runner
+//! Shared benchmark instances for the experiment runner
 //! (`run_experiments`), which regenerates every experiment table in
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md, the sweep benchmark CLI (`sweep_bench`) and the
+//! repository benchmark (`perfbench/`).
 //!
 //! # Shard fragment format
 //!

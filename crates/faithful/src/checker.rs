@@ -78,29 +78,15 @@ impl Mirror {
         self.core.update_cost(origin, declared);
     }
 
-    /// Feeds a message this checker itself sent to the principal.
+    /// Feeds a message this checker itself sent to the principal. Cost
+    /// floods reach the mirror through the holder's own
+    /// [`Mirror::learn_cost`] / [`Mirror::update_cost`] calls instead.
     pub fn record_own_send(&mut self, msg: &FpssMsg) {
         match msg {
-            FpssMsg::RoutingUpdate { rows } => {
-                for row in rows {
-                    self.core.learn_route(self.checker, row);
-                }
-            }
-            FpssMsg::PricingUpdate { rows, retractions } => {
-                for row in rows {
-                    self.core.learn_price(self.checker, row);
-                }
-                for &(dst, transit) in retractions {
-                    self.core.learn_price_retraction(self.checker, dst, transit);
-                }
-            }
             FpssMsg::Data(pkt) => {
                 *self.sent_to.entry((pkt.src, pkt.dst)).or_insert(0) += 1;
             }
-            // Cost floods reach this mirror through the holder's own
-            // learn_cost/update_cost calls, not through sends to the
-            // principal.
-            FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } => {}
+            _ => self.core.learn_update(self.checker, msg, |_| {}),
         }
     }
 
@@ -118,23 +104,13 @@ impl Mirror {
         if original_from == self.checker || !self.core.neighbors().contains(&original_from) {
             return false;
         }
-        match inner {
-            FpssMsg::RoutingUpdate { rows } => {
-                for row in rows {
-                    self.core.learn_route(original_from, row);
-                }
-            }
-            FpssMsg::PricingUpdate { rows, retractions } => {
-                for row in rows {
-                    self.core.learn_price(original_from, row);
-                }
-                for &(dst, transit) in retractions {
-                    self.core
-                        .learn_price_retraction(original_from, dst, transit);
-                }
-            }
-            _ => return false,
+        if !matches!(
+            inner,
+            FpssMsg::RoutingUpdate { .. } | FpssMsg::PricingUpdate { .. }
+        ) {
+            return false;
         }
+        self.core.learn_update(original_from, inner, |_| {});
         true
     }
 
@@ -218,8 +194,7 @@ impl Mirror {
     /// Resets construction state for a phase restart (execution counters
     /// are kept — restarts only happen before execution).
     pub fn reset_construction(&mut self) {
-        let neighbors = self.core.neighbors().to_vec();
-        self.core = FpssCore::new(self.principal, neighbors);
+        self.core.reset();
         self.announced_routing = RoutingTable::new();
         self.announced_pricing = PricingTable::new();
     }

@@ -32,7 +32,6 @@ use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
 use specfaith_fpss::deviation::{Faithful, RationalStrategy};
 use specfaith_fpss::node::{StreamCommand, TAG_STREAM};
-use specfaith_fpss::pricing::tables_match;
 use specfaith_fpss::runner::ReferenceCheck;
 use specfaith_fpss::settle::SettlementConfig;
 use specfaith_fpss::traffic::TrafficMatrix;
@@ -306,19 +305,13 @@ fn harvest(
             .nodes()
             .map(|id| net.node(id).node().declared_cost().expect("started"))
             .collect();
-        let routes = if declared == config.true_costs {
-            config.routes.pin(&config.topo, &declared)
-        } else {
-            config.routes.cache(&config.topo, &declared)
-        };
-        let ok = config.reference_check.sources(n).iter().all(|&id| {
-            let core = net.node(id).node().core();
-            tables_match(&routes, id, core.routes(), core.prices())
-        });
-        // A misreport's single-use cache is dropped here; the pinned
-        // true-cost cache stays.
-        config.routes.release(&routes);
-        Some(ok)
+        Some(config.reference_check.check_once(
+            &config.routes,
+            &config.topo,
+            &config.true_costs,
+            &declared,
+            |id| net.node(id).node().core(),
+        ))
     } else {
         None
     };
@@ -506,14 +499,7 @@ impl FaithfulRunState {
         self.config
             .topo
             .nodes()
-            .map(|id| {
-                let core = self.net.node(id).node().core();
-                (
-                    core.data1().digest(),
-                    core.routes().digest(),
-                    core.prices().digest(),
-                )
-            })
+            .map(|id| self.net.node(id).node().core().table_digests())
             .collect()
     }
 

@@ -14,7 +14,7 @@
 //! * answers the bank's signed requests: hash reports at checkpoints,
 //!   payment/observation reports after execution.
 //!
-//! The first three are the engine plus [`Checkers`], its [`Tap`]: the
+//! The first three are the engine plus `Checkers`, its [`Tap`]: the
 //! engine calls the tap wherever the principal's run touches the mirrors
 //! (a cost learned or updated, an inbound message, an announcement, a
 //! packet sent, a restart). [`FaithfulNode`] itself keeps only the message
@@ -73,8 +73,7 @@ impl From<FpssMsg> for FMsg {
 
 /// The checker role of a node: one [`Mirror`] per neighbor, kept in step
 /// with the principal's own run by the engine's tap calls.
-#[derive(Debug)]
-pub struct Checkers {
+struct Checkers {
     mirrors: BTreeMap<NodeId, Mirror>,
 }
 
@@ -107,25 +106,18 @@ impl Tap for Checkers {
         from: NodeId,
         msg: &FpssMsg,
     ) {
-        let mirror = self.mirrors.get_mut(&from);
-        match msg {
-            FpssMsg::RoutingUpdate { rows } => {
-                if let Some(mirror) = mirror {
-                    mirror.record_announced_routing(rows);
-                }
-            }
-            FpssMsg::PricingUpdate { rows, retractions } => {
-                if let Some(mirror) = mirror {
+        if let Some(mirror) = self.mirrors.get_mut(&from) {
+            match msg {
+                FpssMsg::RoutingUpdate { rows } => mirror.record_announced_routing(rows),
+                FpssMsg::PricingUpdate { rows, retractions } => {
                     mirror.record_announced_pricing(rows, retractions);
                 }
+                FpssMsg::Data(pkt) => mirror.record_packet_from_principal(pkt.src, pkt.dst),
+                FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } => {}
             }
-            FpssMsg::Data(pkt) => {
-                if let Some(mirror) = mirror {
-                    mirror.record_packet_from_principal(pkt.src, pkt.dst);
-                }
-                return;
-            }
-            FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } => return,
+        }
+        if matches!(msg, FpssMsg::Data(_)) {
+            return;
         }
         if let Some(copy) = strategy.forward_to_checkers(from, msg.clone()) {
             for &c in neighbors {

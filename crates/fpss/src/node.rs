@@ -35,7 +35,7 @@
 use crate::compute::{
     best_route_to, price_entries_to, recompute_prices, recompute_routes, NeighborView,
 };
-use crate::deviation::{Faithful, RationalStrategy};
+use crate::deviation::RationalStrategy;
 use crate::msg::{FpssMsg, Packet, PriceRow, RouteRow};
 use crate::settle::ExecutionSummary;
 use crate::state::{PaymentLedger, PricingTable, RoutingTable, TransitCostList};
@@ -215,22 +215,33 @@ impl FpssCore {
         dsts
     }
 
-    /// Records a neighbor's routing row. Returns `true` when the view
-    /// changed.
-    pub fn learn_route(&mut self, from: NodeId, row: &RouteRow) -> bool {
-        self.view.learn_route(from, row)
-    }
-
-    /// Records a neighbor's pricing row. Returns `true` when the view
-    /// changed.
-    pub fn learn_price(&mut self, from: NodeId, row: &PriceRow) -> bool {
-        self.view.learn_price(from, row)
-    }
-
-    /// Records a neighbor's price retraction. Returns `true` when the
-    /// view changed.
-    pub fn learn_price_retraction(&mut self, from: NodeId, dst: NodeId, transit: NodeId) -> bool {
-        self.view.retract_price(from, dst, transit)
+    /// Records a neighbor's routing or pricing update (rows and
+    /// retractions) in the neighbor view, calling `changed` with the
+    /// destination of each row that changed the view. Other messages
+    /// change nothing.
+    pub fn learn_update(&mut self, from: NodeId, msg: &FpssMsg, mut changed: impl FnMut(NodeId)) {
+        match msg {
+            FpssMsg::RoutingUpdate { rows } => {
+                for row in rows {
+                    if self.view.learn_route(from, row) {
+                        changed(row.dst);
+                    }
+                }
+            }
+            FpssMsg::PricingUpdate { rows, retractions } => {
+                for row in rows {
+                    if self.view.learn_price(from, row) {
+                        changed(row.dst);
+                    }
+                }
+                for &(dst, transit) in retractions {
+                    if self.view.retract_price(from, dst, transit) {
+                        changed(dst);
+                    }
+                }
+            }
+            FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } | FpssMsg::Data(_) => {}
+        }
     }
 
     /// Recomputes routing and pricing from the current inputs, installing
@@ -438,11 +449,6 @@ impl PlainFpssNode {
     ) -> Self {
         Self::with_tap(me, neighbors, true_cost, strategy, max_hops, ())
     }
-
-    /// A faithful plain node.
-    pub fn faithful(me: NodeId, neighbors: Vec<NodeId>, true_cost: Cost, max_hops: u32) -> Self {
-        Self::new(me, neighbors, true_cost, Box::new(Faithful), max_hops)
-    }
 }
 
 impl<T: Tap> PlainFpssNode<T> {
@@ -608,30 +614,15 @@ impl<T: Tap> PlainFpssNode<T> {
                     self.recompute_after_cost_change(ctx, origin);
                 }
             }
-            FpssMsg::RoutingUpdate { rows } => {
+            FpssMsg::RoutingUpdate { .. } | FpssMsg::PricingUpdate { .. } => {
                 let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_route(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                self.recompute_dsts_and_announce(ctx, &changed_dsts, true);
-            }
-            FpssMsg::PricingUpdate { rows, retractions } => {
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_price(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                for &(dst, transit) in &retractions {
-                    if self.core.learn_price_retraction(from, dst, transit) {
-                        changed_dsts.insert(dst);
-                    }
-                }
-                // Advertised prices are not a routing input: routing rows
-                // cannot change here.
-                self.recompute_dsts_and_announce(ctx, &changed_dsts, false);
+                self.core.learn_update(from, &msg, |dst| {
+                    changed_dsts.insert(dst);
+                });
+                // Advertised prices are not a routing input: a pricing
+                // update cannot change routing rows.
+                let routing_changed = matches!(msg, FpssMsg::RoutingUpdate { .. });
+                self.recompute_dsts_and_announce(ctx, &changed_dsts, routing_changed);
             }
             FpssMsg::Data(pkt) => self.handle_packet(ctx, pkt),
         }
@@ -864,6 +855,7 @@ impl<T: Tap<Msg = FpssMsg>> Actor for PlainFpssNode<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deviation::Faithful;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -892,7 +884,7 @@ mod tests {
 
     #[test]
     fn node_debug_names_strategy() {
-        let node = PlainFpssNode::faithful(n(0), vec![n(1)], Cost::new(1), 32);
+        let node = PlainFpssNode::new(n(0), vec![n(1)], Cost::new(1), Box::new(Faithful), 32);
         assert!(format!("{node:?}").contains("faithful"));
     }
 }

@@ -12,7 +12,7 @@
 //! check completes.
 
 use crate::deviation::{Faithful, RationalStrategy};
-use crate::node::{PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
+use crate::node::{FpssCore, PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
 use crate::pricing::{tables_agree, tables_match};
 use crate::settle::{settle_plain, SettlementConfig};
 use crate::traffic::TrafficMatrix;
@@ -59,6 +59,34 @@ impl ReferenceCheck {
                 ids.into_iter().map(NodeId::from_index).collect()
             }
         }
+    }
+
+    /// Checks converged tables once against the centralized reference
+    /// under `declared`, for the sources this policy selects; `core_of`
+    /// gives each node's construction core. The reference cache comes
+    /// from `scope`: pinned when `declared` are the true costs, so repeated
+    /// runs share it and misreport runs repair theirs from it, and
+    /// released after the check, which drops a misreport's single-use
+    /// cache and keeps the pinned one.
+    pub fn check_once<'a>(
+        &self,
+        scope: &CacheScope,
+        topo: &Topology,
+        true_costs: &CostVector,
+        declared: &CostVector,
+        core_of: impl Fn(NodeId) -> &'a FpssCore,
+    ) -> bool {
+        let routes = if declared == true_costs {
+            scope.pin(topo, declared)
+        } else {
+            scope.cache(topo, declared)
+        };
+        let ok = self.sources(topo.num_nodes()).into_iter().all(|id| {
+            let core = core_of(id);
+            tables_match(&routes, id, core.routes(), core.prices())
+        });
+        scope.release(&routes);
+        ok
     }
 }
 
@@ -337,31 +365,9 @@ impl PlainRunState {
             .nodes()
             .map(|id| net.node(id).declared_cost().expect("started"))
             .collect();
-        let check_sources = config.reference_check.sources(n);
         let mut pinned = None;
-        let tables_match_centralized = if cached_reference {
-            let routes = if pin_reference || declared == config.true_costs {
-                config.routes.pin(&config.topo, &declared)
-            } else {
-                config.routes.cache(&config.topo, &declared)
-            };
-            let ok = check_sources.iter().all(|&id| {
-                let core = net.node(id).core();
-                tables_match(&routes, id, core.routes(), core.prices())
-            });
-            if pin_reference {
-                // Keep the checked (and now partially materialized) cache as
-                // the seeding donor for the first streamed event.
-                routes.detach_seed();
-                pinned = Some(routes);
-            } else {
-                // A misreport's single-use cache is dropped here instead of
-                // lingering to sweep end; the pinned true-cost cache stays.
-                config.routes.release(&routes);
-            }
-            ok
-        } else {
-            check_sources.iter().all(|&id| {
+        let tables_match_centralized = if !cached_reference {
+            config.reference_check.sources(n).into_iter().all(|id| {
                 let core = net.node(id).core();
                 let (expected_routing, expected_pricing) =
                     crate::pricing::expected_tables_uncached_for(&config.topo, &declared, id);
@@ -372,6 +378,25 @@ impl PlainRunState {
                     &expected_pricing,
                 )
             })
+        } else if pin_reference {
+            let routes = config.routes.pin(&config.topo, &declared);
+            let ok = config.reference_check.sources(n).into_iter().all(|id| {
+                let core = net.node(id).core();
+                tables_match(&routes, id, core.routes(), core.prices())
+            });
+            // Keep the checked (and now partially materialized) cache as
+            // the seeding donor for the first streamed event.
+            routes.detach_seed();
+            pinned = Some(routes);
+            ok
+        } else {
+            config.reference_check.check_once(
+                &config.routes,
+                &config.topo,
+                &config.true_costs,
+                &declared,
+                |id| net.node(id).core(),
+            )
         };
 
         PlainRunState {
@@ -563,14 +588,7 @@ impl PlainRunState {
         self.config
             .topo
             .nodes()
-            .map(|id| {
-                let core = self.net.node(id).core();
-                (
-                    core.data1().digest(),
-                    core.routes().digest(),
-                    core.prices().digest(),
-                )
-            })
+            .map(|id| self.net.node(id).core().table_digests())
             .collect()
     }
 
@@ -681,14 +699,7 @@ pub fn converged_table_digests(
     let outcome = net.run();
     assert!(!outcome.truncated, "cold oracle run truncated");
     topo.nodes()
-        .map(|id| {
-            let core = net.node(id).core();
-            (
-                core.data1().digest(),
-                core.routes().digest(),
-                core.prices().digest(),
-            )
-        })
+        .map(|id| net.node(id).core().table_digests())
         .collect()
 }
 

@@ -8,7 +8,9 @@
 //! Star topologies are pinned to their documented fate instead: FPSS
 //! requires biconnectivity, so a star never reaches streaming at all.
 //!
-//! Also pins the faithful mechanism's documented liveness hole: churn
+//! The faithful mechanism streams cost events only: after each one the
+//! bank recertifies and the tables equal the same cold run. The suite
+//! also pins the faithful mechanism's documented liveness hole: churn
 //! that would island the bank from any node is *refused* (reported as
 //! [`StreamStatus::Unsupported`]) rather than hanging the signed-hash
 //! certification round forever.
@@ -138,6 +140,60 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The faithful counterpart over the same four families, with cost
+    /// events only (faithful churn is refused as `LivenessHole`, pinned
+    /// below). After every event the bank recertifies the new fixed point
+    /// (principal, announced and mirror hashes agree again) and every
+    /// node's tables are byte-identical to a cold plain run on the new
+    /// declarations. A checker mirror tracks its principal's streamed
+    /// re-declarations only through the engine's cost-update tap, so a
+    /// missed or misplaced update fails the recertification here.
+    #[test]
+    fn faithful_cost_events_recertify_on_the_cold_fixed_point(
+        seed in 0u64..200,
+        n in 6usize..11,
+        family in 0usize..4,
+        events in proptest::collection::vec((0usize..16, 0u64..15), 2..5),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = family_topology(family, n, &mut rng);
+        let n = topo.num_nodes();
+        let costs = CostVector::random(n, 1, 12, &mut rng);
+        let scenario = Scenario::builder()
+            .topology(TopologySource::Explicit(topo.clone()))
+            .costs(CostModel::Explicit(costs))
+            .traffic(TrafficModel::single_by_index(0, n - 1, 2))
+            .mechanism(Mechanism::faithful())
+            .build();
+        let mut session = scenario.stream_session(seed);
+        for (i, &(pick, cost)) in events.iter().enumerate() {
+            let event = TopologyEvent::NodeCost { node: NodeId::from_index(pick % n), cost };
+            let outcome = session.apply_event(&event);
+            prop_assert_eq!(outcome.status, StreamStatus::Applied);
+            prop_assert!(
+                outcome.verified == Some(true),
+                "event {i}: {event:?} was not recertified: {:?}",
+                outcome.verified
+            );
+            let cold = converged_table_digests(
+                &topo,
+                session.declared(),
+                Latency::DEFAULT,
+                seed.wrapping_add(1 + i as u64),
+            );
+            prop_assert!(
+                session.table_digests() == cold,
+                "event {i} ({event:?}): tables diverged from the cold fixed point"
+            );
+        }
+        let report = session.finish();
+        prop_assert!(report.green_lighted() && !report.detected);
     }
 }
 
