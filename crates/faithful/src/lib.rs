@@ -29,8 +29,10 @@
 //! * [`codec`] — canonical byte encoding of bank payloads (what the MACs
 //!   sign).
 //! * [`checker`] — the per-principal mirror state.
-//! * [`node`] — the faithful node actor (principal + checker roles +
-//!   deviation strategy hooks).
+//! * [`node`] — the faithful node actor: the one FPSS protocol engine
+//!   (`specfaith_fpss::node::PlainFpssNode`) as principal, plus a checker
+//!   tap that keeps the mirrors and forwards checker copies, plus the
+//!   bank channel. It holds no protocol code of its own.
 //! * [`bank`] — the bank actor: checkpointing, restart policy, execution
 //!   settlement.
 //! * [`actor`] — the heterogeneous node/bank wrapper for the simulator.

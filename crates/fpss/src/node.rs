@@ -11,9 +11,9 @@
 //! between the destination-scoped and the full recompute, announcements,
 //! packet forwarding and the start of execution. Run as it is, it is the
 //! plain FPSS actor. The faithful node (`specfaith_faithful::node`) runs
-//! the same engine, sending in its own message type (any
-//! `M: From<FpssMsg>`), and adds only a checker [`Tap`] and the bank
-//! channel, so a protocol change is made here, once.
+//! the same engine, sending in its own message type (the tap's
+//! [`Tap::Msg`], any type with `From<FpssMsg>`), and adds only a checker
+//! [`Tap`] and the bank channel, so a protocol change is made here, once.
 //!
 //! A tap sees six points of a node's run. Every method does nothing by
 //! default; `()` is the plain node's tap.
@@ -832,7 +832,7 @@ impl<T: Tap> PlainFpssNode<T> {
     }
 }
 
-impl<T: Tap<Msg = FpssMsg>> Actor for PlainFpssNode<T> {
+impl Actor for PlainFpssNode {
     type Msg = FpssMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, FpssMsg>) {

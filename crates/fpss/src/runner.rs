@@ -365,9 +365,10 @@ impl PlainRunState {
             .nodes()
             .map(|id| net.node(id).declared_cost().expect("started"))
             .collect();
+        let check_sources = config.reference_check.sources(n);
         let mut pinned = None;
         let tables_match_centralized = if !cached_reference {
-            config.reference_check.sources(n).into_iter().all(|id| {
+            check_sources.iter().all(|&id| {
                 let core = net.node(id).core();
                 let (expected_routing, expected_pricing) =
                     crate::pricing::expected_tables_uncached_for(&config.topo, &declared, id);
@@ -380,7 +381,7 @@ impl PlainRunState {
             })
         } else if pin_reference {
             let routes = config.routes.pin(&config.topo, &declared);
-            let ok = config.reference_check.sources(n).into_iter().all(|id| {
+            let ok = check_sources.iter().all(|&id| {
                 let core = net.node(id).core();
                 tables_match(&routes, id, core.routes(), core.prices())
             });

@@ -37,11 +37,12 @@ impl LatencyModel for FixedLatency {
 /// A base delay plus uniform jitter in `0..=jitter` microseconds.
 ///
 /// Delays are drawn independently per message, but the simulator keeps
-/// every directed link FIFO: it raises a delivery that would land before
-/// the link's previous one (see `Network`'s event loop), and a throughput
-/// model's delivery is scheduled when its serialization completes. So
-/// jitter exercises the protocols' insensitivity to message ordering
-/// *across* links: only cross-link races become visible.
+/// every directed link FIFO: a delivery drawn earlier than the link's
+/// previous one is raised to it. (Under a throughput model a delivery is
+/// scheduled when its serialization completes, so the link delivers in
+/// completion order.) Jitter therefore exercises the protocols'
+/// insensitivity to message ordering *across* links: only cross-link
+/// races become visible.
 #[derive(Clone, Copy, Debug)]
 pub struct JitteredLatency {
     base: u64,

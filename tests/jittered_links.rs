@@ -3,11 +3,11 @@
 //! `Latency::jittered` draws each message's delay independently, so
 //! without a FIFO guarantee a later message can overtake an earlier one on
 //! the same link: a stale price or retraction then lands after its
-//! replacement. FPSS assumes in-order links, and these runs broke without
-//! it: honest plain tables that fail the reference check, honest faithful
-//! runs restarted into a halt, and a count-to-infinity between two
-//! neighbors that runs to the event budget. The simulator now delivers
-//! each link's messages in send order (only cross-link races remain), and
+//! replacement. FPSS assumes in-order links. On reordering links these
+//! runs fail: honest plain tables miss the reference check, honest
+//! faithful runs are restarted into a halt, and two neighbors count to
+//! infinity until the event budget runs out. The simulator delivers each
+//! link's messages in send order, so only cross-link races remain, and
 //! each run below converges to the centralized reference.
 
 use rand::rngs::StdRng;
