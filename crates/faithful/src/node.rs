@@ -116,7 +116,10 @@ impl Tap for Checkers {
                 FpssMsg::CostAnnounce { .. } | FpssMsg::CostUpdate { .. } => {}
             }
         }
-        if matches!(msg, FpssMsg::Data(_)) {
+        if !matches!(
+            msg,
+            FpssMsg::RoutingUpdate { .. } | FpssMsg::PricingUpdate { .. }
+        ) {
             return;
         }
         if let Some(copy) = strategy.forward_to_checkers(from, msg.clone()) {
