@@ -56,6 +56,13 @@ struct Advert {
 /// over the few transits of one advertised route — never a tree walk.
 /// Destinations at or beyond the dense ceiling (forged ids) take the
 /// sparse fallback.
+///
+/// Beside the adverts sits a route-membership index, laid out the same
+/// way: for each node, the destinations whose stored routes visit it, as a
+/// `(dst, routes)` list sorted by `dst`. Lists are dense by node index
+/// below `DENSE_ROUTE_SLOTS` and sparse above it, so a forged id, as a
+/// destination or anywhere inside an advertised path, costs one map entry
+/// and never a giant allocation.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborView {
     /// Per neighbor, `adverts[dst.index()]`.
@@ -63,48 +70,89 @@ pub struct NeighborView {
     /// Adverts whose destination index does not fit the dense table,
     /// keyed by `(neighbor, dst)`.
     sparse: BTreeMap<(NodeId, NodeId), Advert>,
-    /// Reverse membership index: `node → (dst → occurrences)` counts how
-    /// many stored routes toward `dst` contain `node` anywhere on their
-    /// path. Maintained incrementally by [`NeighborView::learn_route`]
-    /// (an accounting view of the stored rows — deliberately excluded
-    /// from equality) so [`NeighborView::dsts_through`] answers the
-    /// flood-time invalidation query — *which destinations could a newly
-    /// learned cost affect?* — without scanning every stored path.
-    through: BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
+    /// Reverse membership index, maintained incrementally by
+    /// [`NeighborView::learn_route`] (an accounting view of the stored
+    /// rows, deliberately excluded from equality) so
+    /// [`NeighborView::dsts_through`] answers the flood-time invalidation
+    /// query — *which destinations could a newly learned cost affect?* —
+    /// without scanning every stored path.
+    through: RouteMembership,
+}
+
+/// For each node, how many stored routes toward each destination visit it:
+/// `(dst, routes)` lists sorted by `dst`, with no zero counts.
+#[derive(Clone, Debug, Default)]
+struct RouteMembership {
+    /// Lists of nodes below `DENSE_ROUTE_SLOTS`, by node index.
+    dense: Vec<Vec<(NodeId, u32)>>,
+    /// Lists of nodes at or beyond the dense ceiling (forged ids). An entry
+    /// whose list empties is removed.
+    sparse: BTreeMap<NodeId, Vec<(NodeId, u32)>>,
+}
+
+impl RouteMembership {
+    /// The destinations whose stored routes visit `node`, ascending.
+    fn dsts(&self, node: NodeId) -> &[(NodeId, u32)] {
+        let list = if node.index() < DENSE_ROUTE_SLOTS {
+            self.dense.get(node.index())
+        } else {
+            self.sparse.get(&node)
+        };
+        list.map_or(&[], Vec::as_slice)
+    }
+
+    /// Moves the stored route toward `dst` from `old` (if any) to `new`,
+    /// touching only the nodes on one path but not the other. Both are
+    /// simple paths.
+    fn replace(&mut self, dst: NodeId, old: &[NodeId], new: &[NodeId]) {
+        self.remove(dst, old.iter().filter(|v| !new.contains(v)));
+        self.add(dst, new.iter().filter(|v| !old.contains(v)));
+    }
+
+    /// Counts one more route toward `dst` through each of `nodes`.
+    fn add<'a>(&mut self, dst: NodeId, nodes: impl Iterator<Item = &'a NodeId>) {
+        for &v in nodes {
+            let list = if v.index() < DENSE_ROUTE_SLOTS {
+                if v.index() >= self.dense.len() {
+                    self.dense.resize_with(v.index() + 1, Vec::new);
+                }
+                &mut self.dense[v.index()]
+            } else {
+                self.sparse.entry(v).or_default()
+            };
+            match list.binary_search_by_key(&dst, |&(d, _)| d) {
+                Ok(at) => list[at].1 += 1,
+                Err(at) => list.insert(at, (dst, 1)),
+            }
+        }
+    }
+
+    /// Undoes [`RouteMembership::add`] for nodes that were counted.
+    fn remove<'a>(&mut self, dst: NodeId, nodes: impl Iterator<Item = &'a NodeId>) {
+        for &v in nodes {
+            let list = if v.index() < DENSE_ROUTE_SLOTS {
+                &mut self.dense[v.index()]
+            } else {
+                self.sparse.get_mut(&v).expect("indexed path node")
+            };
+            let at = list
+                .binary_search_by_key(&dst, |&(d, _)| d)
+                .expect("indexed dst");
+            list[at].1 -= 1;
+            if list[at].1 == 0 {
+                list.remove(at);
+                if list.is_empty() && v.index() >= DENSE_ROUTE_SLOTS {
+                    self.sparse.remove(&v);
+                }
+            }
+        }
+    }
 }
 
 impl NeighborView {
     /// An empty view.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn index_path(
-        through: &mut BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
-        dst: NodeId,
-        path: &[NodeId],
-    ) {
-        for &v in path {
-            *through.entry(v).or_default().entry(dst).or_insert(0) += 1;
-        }
-    }
-
-    fn unindex_path(
-        through: &mut BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
-        dst: NodeId,
-        path: &[NodeId],
-    ) {
-        for &v in path {
-            let per_node = through.get_mut(&v).expect("indexed path node");
-            let count = per_node.get_mut(&dst).expect("indexed dst");
-            *count -= 1;
-            if *count == 0 {
-                per_node.remove(&dst);
-                if per_node.is_empty() {
-                    through.remove(&v);
-                }
-            }
-        }
     }
 
     /// What `neighbor` advertised toward `dst`, if anything.
@@ -163,22 +211,17 @@ impl NeighborView {
         if advert.path.as_deref() == Some(path) {
             return false;
         }
-        let old = advert.path.replace(path.to_vec());
-        if let Some(old) = old {
-            Self::unindex_path(&mut self.through, row.dst, &old);
-        }
-        Self::index_path(&mut self.through, row.dst, path);
+        let old = advert.path.replace(path.to_vec()).unwrap_or_default();
+        self.through.replace(row.dst, &old, path);
         true
     }
 
     /// The destinations with at least one stored route whose path visits
     /// `node` (as transit, origin, or the destination itself) — the
     /// invalidation set of a newly learned declared cost for `node`.
+    /// Yields them in ascending order.
     pub fn dsts_through(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.through
-            .get(&node)
-            .into_iter()
-            .flat_map(|dsts| dsts.keys().copied())
+        self.through.dsts(node).iter().map(|&(dst, _)| dst)
     }
 
     /// Records a price advertisement from `neighbor`. Returns `true` if
@@ -551,6 +594,34 @@ mod tests {
         let mut same = NeighborView::new();
         same.learn_route(n(1), &row);
         assert_eq!(view, same, "equality covers sparse rows");
+        // A forged id inside an advertised path is indexed sparsely too.
+        let interior = NodeId::new(1_000_000_001);
+        let via = RouteRow {
+            dst: n(2),
+            path: vec![n(1), interior, forged, n(2)],
+        };
+        assert!(view.learn_route(n(1), &via));
+        assert_eq!(view.dsts_through(interior).collect::<Vec<_>>(), vec![n(2)]);
+        assert_eq!(
+            view.dsts_through(forged).collect::<Vec<_>>(),
+            vec![n(2), forged]
+        );
+        assert_eq!(
+            view.dsts_through(n(1)).collect::<Vec<_>>(),
+            vec![n(2), forged]
+        );
+        assert!(view.through.dense.len() <= 3, "no slot up to a forged id");
+        // Replacing the route drops the forged interior from the index.
+        assert!(view.learn_route(
+            n(1),
+            &RouteRow {
+                dst: n(2),
+                path: vec![n(1), n(2)],
+            }
+        ));
+        assert_eq!(view.dsts_through(interior).next(), None);
+        assert!(!view.through.sparse.contains_key(&interior));
+        assert_eq!(view.dsts_through(forged).collect::<Vec<_>>(), vec![forged]);
     }
 
     /// Destination `d` of a generated op: `0..4` are dense ids, `4` and
@@ -563,8 +634,70 @@ mod tests {
         }
     }
 
+    /// Node `v` of a generated route: `0..6` are dense ids, `6..9` sit
+    /// on both sides of the dense ceiling, `9` is a huge forged id.
+    fn generated_node(v: u32) -> NodeId {
+        match v {
+            0..=5 => n(v),
+            6 => NodeId::from_index(DENSE_ROUTE_SLOTS - 1),
+            7 => NodeId::from_index(DENSE_ROUTE_SLOTS),
+            8 => NodeId::from_index(DENSE_ROUTE_SLOTS + 1),
+            _ => NodeId::new(u32::MAX - 1),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any sequence of route learns — fresh rows, replacements,
+        /// repeats and rejected malformed rows, over dense and forged ids
+        /// as destinations and as interior path nodes — `dsts_through(v)`
+        /// equals a brute-force scan of the stored routes, for every `v`.
+        /// The last op element picks a malformation: 0 starts the path
+        /// elsewhere, 1 ends it elsewhere, 2 repeats a node, others leave
+        /// the row well formed.
+        #[test]
+        fn dsts_through_matches_a_scan_of_stored_routes(
+            ops in proptest::collection::vec(
+                (0u32..3, 0u32..10, proptest::collection::vec(0u32..10, 0..4), 0u32..8),
+                0..40,
+            ),
+        ) {
+            let mut view = NeighborView::new();
+            let neighbors = [n(1), n(2), generated_node(7)];
+            for (b, dst, interior, malform) in &ops {
+                let (b, dst) = (neighbors[*b as usize], generated_node(*dst));
+                let mut path = vec![b];
+                for &v in interior {
+                    let v = generated_node(v);
+                    if !path.contains(&v) && v != dst {
+                        path.push(v);
+                    }
+                }
+                if dst != b {
+                    path.push(dst);
+                }
+                match malform {
+                    0 => path[0] = generated_node(0),
+                    1 => path.push(generated_node(3)),
+                    2 => path.push(path[0]),
+                    _ => {}
+                }
+                view.learn_route(b, &RouteRow { dst, path });
+            }
+            let content = view.content();
+            for v in (0..10).map(generated_node) {
+                let scan: BTreeSet<NodeId> = content
+                    .iter()
+                    .filter(|(_, advert)| advert.path.as_ref().is_some_and(|p| p.contains(&v)))
+                    .map(|(&(_, dst), _)| dst)
+                    .collect();
+                let indexed: Vec<NodeId> = view.dsts_through(v).collect();
+                prop_assert_eq!(indexed, scan.into_iter().collect::<Vec<_>>());
+            }
+            prop_assert!(view.through.dense.len() <= DENSE_ROUTE_SLOTS);
+            prop_assert!(view.through.sparse.values().all(|list| !list.is_empty()));
+        }
 
         /// The price view agrees with a `BTreeMap<(neighbor, dst,
         /// transit), i64>` on every learn, retraction and lookup, dense

@@ -1,4 +1,39 @@
 //! The discrete-event engine: actors, contexts, and the network.
+//!
+//! # Event order
+//!
+//! Every scheduled delivery, timer and transfer completion is an event
+//! keyed by `(at, seq)`: its virtual time, then a sequence number drawn
+//! when it was scheduled. Events fire in ascending key order, so
+//! simultaneous events fire in the order they were scheduled and a run is
+//! a deterministic function of its seed.
+//!
+//! The queue holding them is two structures with one order:
+//!
+//! * a FIFO of blocks, which takes every push whose key is at or after the
+//!   newest key already in it, in O(1). Under fixed latency a delivery
+//!   lands at `now + latency` with a fresh `seq`, after every delivery
+//!   already queued, so deliveries take this path;
+//! * a binary heap, which takes only the pushes that would break the FIFO's
+//!   order. Those come from jitter, throughput-model transfers and their
+//!   deliveries, lazy `Complete` re-pushes (which keep an older `seq`), and
+//!   timers scheduled behind pending deliveries (or deliveries behind a
+//!   timer set further ahead).
+//!
+//! A pop takes the smaller of the two heads, and the queue's length (read
+//! by [`NetStats::max_queue_depth`]) counts both. Pops therefore come out
+//! exactly as from one heap over every event; the FIFO only saves the
+//! sifting. Its fixed-size blocks are released as it drains (one is kept
+//! for reuse), so its memory follows the queue's depth to within two
+//! blocks.
+//!
+//! # Truncation
+//!
+//! [`Network::run`] spends one unit of its event budget per fired event. It
+//! checks the budget before popping, so a run that stops on a spent budget
+//! leaves every pending event queued, and a later `run` (a streamed event,
+//! or an execution phase after a truncated construction) resumes from
+//! exactly where the earlier one stopped.
 
 use crate::connect::Connectivity;
 use crate::dynamics::{Dynamics, DynamicsState};
@@ -10,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specfaith_core::id::NodeId;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 /// A protocol node.
@@ -162,6 +197,91 @@ impl<M> Ord for Event<M> {
     }
 }
 
+/// The engine's pending events, popped in `(at, seq)` order: an in-order
+/// FIFO of fixed-size blocks beside a heap for out-of-order pushes (see the
+/// module docs).
+struct EventQueue<M> {
+    /// Events in ascending key order. Every block but the first and last
+    /// is full, and none is empty.
+    fifo: VecDeque<VecDeque<Event<M>>>,
+    /// Events across all of `fifo`'s blocks.
+    fifo_len: usize,
+    /// The last block `fifo` drained, kept for its next new block.
+    spare: Option<VecDeque<Event<M>>>,
+    /// Events whose key fell behind the FIFO's newest when pushed.
+    heap: BinaryHeap<Reverse<Event<M>>>,
+}
+
+impl<M> EventQueue<M> {
+    /// Events per FIFO block: about 32 KiB of them.
+    const BLOCK: usize = {
+        let per = 32 * 1024 / std::mem::size_of::<Event<M>>();
+        if per == 0 {
+            1
+        } else {
+            per
+        }
+    };
+
+    fn new() -> Self {
+        EventQueue {
+            fifo: VecDeque::new(),
+            fifo_len: 0,
+            spare: None,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.fifo_len + self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn push(&mut self, event: Event<M>) {
+        if let Some(block) = self.fifo.back_mut() {
+            if event < *block.back().expect("FIFO blocks are never empty") {
+                self.heap.push(Reverse(event));
+                return;
+            }
+            if block.len() < Self::BLOCK {
+                block.push_back(event);
+                self.fifo_len += 1;
+                return;
+            }
+        }
+        let mut block = self
+            .spare
+            .take()
+            .unwrap_or_else(|| VecDeque::with_capacity(Self::BLOCK));
+        block.push_back(event);
+        self.fifo.push_back(block);
+        self.fifo_len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Event<M>> {
+        let fifo_first = match (self.fifo.front(), self.heap.peek()) {
+            (Some(block), Some(Reverse(top))) => {
+                block.front().expect("FIFO blocks are never empty") < top
+            }
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !fifo_first {
+            return self.heap.pop().map(|Reverse(event)| event);
+        }
+        let block = self.fifo.front_mut().expect("checked above");
+        let event = block.pop_front().expect("FIFO blocks are never empty");
+        if block.is_empty() {
+            self.spare = self.fifo.pop_front();
+        }
+        self.fifo_len -= 1;
+        Some(event)
+    }
+}
+
 /// Per-run message accounting.
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
@@ -233,7 +353,7 @@ pub struct Network<A: Actor, L> {
     /// bookkeeping (the default path is exactly the pre-dynamics engine).
     dynamics_active: bool,
     rng: StdRng,
-    queue: BinaryHeap<Reverse<Event<A::Msg>>>,
+    queue: EventQueue<A::Msg>,
     /// Transfers whose serialization is in flight, keyed by transfer id.
     pending: BTreeMap<u64, PendingTransfer<A::Msg>>,
     /// Hot per-transfer scheduling state, indexed by transfer id. Grows
@@ -286,7 +406,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             dynamics: DynamicsState::new(&Dynamics::default(), n),
             dynamics_active: false,
             rng: StdRng::seed_from_u64(seed),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             pending: BTreeMap::new(),
             times: Vec::new(),
             link_clock: vec![SimTime::ZERO; n * n],
@@ -369,11 +489,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
     /// has converged).
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
         self.seq += 1;
-        self.queue.push(Reverse(Event {
+        self.queue.push(Event {
             at: self.now + delay,
             seq: self.seq,
             kind: EventKind::Timer { node, tag },
-        }));
+        });
     }
 
     /// Current virtual time.
@@ -423,11 +543,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                 SendVerdict::Deliver { at } => {
                     let at = self.fifo(from, to, at);
                     self.seq += 1;
-                    self.queue.push(Reverse(Event {
+                    self.queue.push(Event {
                         at,
                         seq: self.seq,
                         kind: EventKind::Deliver { from, to, msg },
-                    }));
+                    });
                 }
                 SendVerdict::Transfer { completes_at } => {
                     self.seq += 1;
@@ -440,11 +560,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         tie_seq: self.seq,
                         scheduled: completes_at,
                     };
-                    self.queue.push(Reverse(Event {
+                    self.queue.push(Event {
                         at: completes_at,
                         seq: self.seq,
                         kind: EventKind::Complete { id },
-                    }));
+                    });
                 }
                 SendVerdict::Drop => {
                     self.stats.msgs_dropped += 1;
@@ -454,11 +574,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
         }
         for (delay, tag) in timers {
             self.seq += 1;
-            self.queue.push(Reverse(Event {
+            self.queue.push(Event {
                 at: self.now + delay,
                 seq: self.seq,
                 kind: EventKind::Timer { node: from, tag },
-            }));
+            });
         }
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
     }
@@ -482,11 +602,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             times.tie_seq = self.seq;
             if at < times.scheduled {
                 times.scheduled = at;
-                self.queue.push(Reverse(Event {
+                self.queue.push(Event {
                     at,
                     seq: self.seq,
                     kind: EventKind::Complete { id },
-                }));
+                });
             }
         }
     }
@@ -519,7 +639,9 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
 
     /// Runs to global quiescence: starts actors (first call only), drains
     /// the event queue, invokes quiescence observers, and repeats until no
-    /// observer generates further work.
+    /// observer generates further work. A run that spends its event budget
+    /// first stops with [`RunOutcome::truncated`] set and every pending
+    /// event still queued, so the next call resumes it.
     pub fn run(&mut self) -> RunOutcome {
         if self.dynamics_active {
             // Events scheduled at or before the current time (e.g. a
@@ -536,14 +658,17 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
         let mut quiescence_rounds = 0u64;
         let mut truncated = false;
         'outer: loop {
-            while let Some(Reverse(event)) = self.queue.pop() {
+            while !self.queue.is_empty() {
+                // Budget first: a spent budget leaves the next event queued
+                // for a later run.
                 if processed >= self.max_events {
                     truncated = true;
                     break 'outer;
                 }
+                let event = self.queue.pop().expect("checked non-empty");
                 debug_assert!(event.at >= self.now, "time must be monotone");
                 // Lazy completions: an event whose transfer already fired
-                // is heap garbage, and one that doesn't match the
+                // is queue garbage, and one that doesn't match the
                 // transfer's `(target, tie_seq)` — it was queued before a
                 // re-schedule — re-pushes the real completion and is
                 // skipped. Neither advances time nor spends event budget.
@@ -559,11 +684,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         );
                         let (at, seq) = (times.target, times.tie_seq);
                         times.scheduled = at;
-                        self.queue.push(Reverse(Event {
+                        self.queue.push(Event {
                             at,
                             seq,
                             kind: EventKind::Complete { id },
-                        }));
+                        });
                         continue;
                     }
                 }
@@ -592,7 +717,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         let transfer = self.pending.remove(&id).expect("checked live above");
                         let at = self.fifo(transfer.from, transfer.to, done.deliver_at);
                         self.seq += 1;
-                        self.queue.push(Reverse(Event {
+                        self.queue.push(Event {
                             at,
                             seq: self.seq,
                             kind: EventKind::Deliver {
@@ -600,7 +725,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                                 to: transfer.to,
                                 msg: transfer.msg,
                             },
-                        }));
+                        });
                         self.apply_reschedules(done.reschedules);
                         self.stats.max_queue_depth =
                             self.stats.max_queue_depth.max(self.queue.len() as u64);
@@ -915,6 +1040,30 @@ mod tests {
     }
 
     #[test]
+    fn truncated_runs_resume_where_they_stopped() {
+        // The ring holds one token at a time, so a spent budget always
+        // leaves exactly one delivery pending; each resumed run must pick
+        // it up rather than lose it.
+        let mut net = ring_network(4, 8, 1).with_max_events(3);
+        let delivered: Vec<(u64, bool)> = (0..4)
+            .map(|_| {
+                let outcome = net.run();
+                (outcome.messages_delivered, outcome.truncated)
+            })
+            .collect();
+        assert_eq!(
+            delivered,
+            vec![(3, true), (6, true), (8, false), (8, false)]
+        );
+        let mut whole = ring_network(4, 8, 1);
+        let outcome = whole.run();
+        assert_eq!(net.now(), outcome.final_time);
+        for i in 0..4 {
+            assert_eq!(net.node(n(i)).seen, whole.node(n(i)).seen);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "one actor per connectivity node")]
     fn actor_count_must_match() {
         let _ = Network::new(
@@ -1212,4 +1361,118 @@ mod tests {
             Node::Seq(_) => panic!("node 1 collects"),
         }
     }
+
+    /// A payload wide enough that a FIFO block holds only a few events,
+    /// so short operation sequences cross block boundaries.
+    type Wide = [u64; 512];
+
+    /// Replays `ops` on an [`EventQueue`] and on a
+    /// `BinaryHeap<Reverse<(SimTime, u64)>>`, requiring the same pops and
+    /// the same length after every step. Op modes: 0–2 push in key order
+    /// (0 repeats the newest time with a fresh `seq`), 3 pushes an earlier
+    /// time, 4 pushes at an issued event's time with a fresh `seq`, 5
+    /// re-pushes an issued `seq` at or after its time (a lazy `Complete`
+    /// re-push), 6–7 pop.
+    fn replay_against_a_heap(ops: &[(u32, u32, u32)]) -> Result<(), TestCaseError> {
+        let mut queue: EventQueue<Wide> = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut issued: Vec<(SimTime, u64)> = Vec::new();
+        let mut newest = (SimTime::ZERO, 0u64);
+        let mut in_order = true;
+        let mut next_seq = 1u64;
+        for &(mode, a, b) in ops {
+            if mode >= 6 {
+                let popped = queue.pop().map(|event| {
+                    let EventKind::Deliver { msg, .. } = event.kind else {
+                        unreachable!("only deliveries are pushed")
+                    };
+                    prop_assert_eq!(msg[0], event.seq);
+                    Ok((event.at, event.seq))
+                });
+                let popped = popped.transpose()?;
+                prop_assert_eq!(popped, reference.pop().map(|Reverse(key)| key));
+            } else {
+                let fresh = next_seq;
+                let key = match (mode, issued.is_empty()) {
+                    (0..=2, _) | (_, true) => {
+                        (newest.0 + SimDuration::from_micros(u64::from(mode)), fresh)
+                    }
+                    (3, false) => (
+                        SimTime::from_micros(u64::from(a) % (newest.0.micros() + 1)),
+                        fresh,
+                    ),
+                    (4, false) => (issued[a as usize % issued.len()].0, fresh),
+                    (_, false) => {
+                        let (at, seq) = issued[a as usize % issued.len()];
+                        (at + SimDuration::from_micros(u64::from(b)), seq)
+                    }
+                };
+                if key.1 == fresh {
+                    next_seq += 1;
+                }
+                in_order &= key >= newest;
+                newest = newest.max(key);
+                issued.push(key);
+                let mut msg = [0; 512];
+                msg[0] = key.1;
+                queue.push(Event {
+                    at: key.0,
+                    seq: key.1,
+                    kind: EventKind::Deliver {
+                        from: n(0),
+                        to: n(1),
+                        msg,
+                    },
+                });
+                reference.push(Reverse(key));
+            }
+            prop_assert_eq!(queue.len(), reference.len());
+            if in_order {
+                // In-order pushes all stay in the FIFO.
+                prop_assert_eq!(queue.heap.len(), 0);
+            }
+        }
+        while let Some(Reverse(key)) = reference.pop() {
+            let event = queue.pop().expect("as long as the reference");
+            prop_assert_eq!((event.at, event.seq), key);
+        }
+        prop_assert!(queue.is_empty());
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of every push kind and pops.
+        #[test]
+        fn event_queue_pops_like_a_binary_heap(
+            ops in proptest::collection::vec((0u32..8, any::<u32>(), 0u32..4), 0..200),
+        ) {
+            replay_against_a_heap(&ops)?;
+        }
+
+        /// Mostly in-order pushes (the fixed-latency shape): long FIFO runs
+        /// across block boundaries, with the odd out-of-order push or
+        /// re-push, drained in bursts.
+        #[test]
+        fn event_queue_keeps_order_across_blocks(
+            ops in proptest::collection::vec((0u32..16, any::<u32>(), 0u32..4), 0..300)
+                .prop_map(|ops| {
+                    ops.into_iter()
+                        .map(|(mode, a, b)| match mode {
+                            0..=8 => (mode % 3, a, b),
+                            9..=11 => (mode - 6, a, b),
+                            _ => (6, a, b),
+                        })
+                        .collect::<Vec<_>>()
+                }),
+        ) {
+            replay_against_a_heap(&ops)?;
+        }
+    }
+
+    // The proptests above rely on a few wide events filling a block.
+    const _: () = assert!(EventQueue::<Wide>::BLOCK >= 2 && EventQueue::<Wide>::BLOCK <= 16);
 }
