@@ -13,6 +13,13 @@
 //! construction twice, then halts) and with `drop-transit-packets` (the
 //! faithful bank penalizes), each deviant a transit node of the flow.
 //!
+//! Streamed sessions are pinned the same way, on the same two graphs:
+//! C→9, D→0 and C→9 again (an unchanged re-declaration), plus churn on
+//! Figure 1 (plain: C leaves and returns, then A's leaving is rejected;
+//! faithful: a leaving node is refused). Each event pins its status,
+//! messages, virtual time and verification, and the finished run pins
+//! what the one-shot runs pin.
+//!
 //! Moving a pin is a reproducibility break: it needs a stated reason.
 
 use specfaith::fpss::deviation::{DropTransitPackets, SpoofShortRoutes};
@@ -135,5 +142,148 @@ fn faithful_scale_free_runs_are_pinned() {
             pin(489, 30_643, 1_022_744, 2, false, true, 0),
             pin(223, 8_927, 306_580, 0, true, true, 15_999_994),
         ]
+    );
+}
+
+/// What one streamed event pins.
+#[derive(Debug, PartialEq, Eq)]
+struct EventPin {
+    status: StreamStatus,
+    messages: u64,
+    micros: u64,
+    verified: Option<bool>,
+}
+
+fn event(status: StreamStatus, messages: u64, micros: u64, verified: Option<bool>) -> EventPin {
+    EventPin {
+        status,
+        messages,
+        micros,
+        verified,
+    }
+}
+
+/// C→9, D→0, then C→9 again (an unchanged re-declaration that still
+/// floods), followed by `churn`.
+fn cost_then(churn: &[TopologyEvent]) -> Vec<TopologyEvent> {
+    let mut events = vec![
+        TopologyEvent::NodeCost {
+            node: NodeId::new(2),
+            cost: 9,
+        },
+        TopologyEvent::NodeCost {
+            node: NodeId::new(3),
+            cost: 0,
+        },
+        TopologyEvent::NodeCost {
+            node: NodeId::new(2),
+            cost: 9,
+        },
+    ];
+    events.extend_from_slice(churn);
+    events
+}
+
+/// One streamed session under jittered latency, run seed 3: every
+/// event's record, then the finished run.
+fn stream_pins(
+    topology: TopologySource,
+    mechanism: Mechanism,
+    events: &[TopologyEvent],
+) -> (Vec<EventPin>, Pin) {
+    let scenario = Scenario::builder()
+        .topology(topology)
+        .latency(Latency::jittered(10, 7))
+        .mechanism(mechanism)
+        .build();
+    let report = scenario.stream(events, 3);
+    let records = report
+        .events
+        .iter()
+        .map(|e| event(e.status, e.messages, e.micros, e.verified))
+        .collect();
+    (records, Pin::of(&report.final_report))
+}
+
+#[test]
+fn plain_figure1_stream_is_pinned() {
+    use StreamStatus::{Applied, Rejected};
+    // C leaves and returns; A leaving would leave X with one neighbor.
+    let churn = [
+        TopologyEvent::NodeDown(NodeId::new(2)),
+        TopologyEvent::NodeUp(NodeId::new(2)),
+        TopologyEvent::NodeDown(NodeId::new(0)),
+    ];
+    assert_eq!(
+        stream_pins(
+            TopologySource::Figure1,
+            Mechanism::Plain,
+            &cost_then(&churn)
+        ),
+        (
+            vec![
+                event(Applied, 36, 50, Some(true)),
+                event(Applied, 20, 44, Some(true)),
+                event(Applied, 9, 49, Some(true)),
+                event(Applied, 98, 236, None),
+                event(Applied, 102, 68, Some(true)),
+                event(Rejected, 0, 0, None),
+            ],
+            pin(556, 459, 12_592, 0, true, false, 499_975)
+        )
+    );
+}
+
+#[test]
+fn faithful_figure1_stream_is_pinned() {
+    use StreamStatus::{Applied, Unsupported};
+    let churn = [TopologyEvent::NodeDown(NodeId::new(2))];
+    assert_eq!(
+        stream_pins(
+            TopologySource::Figure1,
+            Mechanism::faithful(),
+            &cost_then(&churn)
+        ),
+        (
+            vec![
+                event(Applied, 90, 91, Some(true)),
+                event(Applied, 49, 94, Some(true)),
+                event(Applied, 21, 79, Some(true)),
+                event(Unsupported, 0, 0, None),
+            ],
+            pin(488, 598, 29_034, 0, true, false, 6_499_975)
+        )
+    );
+}
+
+#[test]
+fn plain_scale_free_stream_is_pinned() {
+    use StreamStatus::Applied;
+    assert_eq!(
+        stream_pins(scale_free_16(), Mechanism::Plain, &cost_then(&[])),
+        (
+            vec![
+                event(Applied, 3_987, 197, Some(true)),
+                event(Applied, 657, 77, Some(true)),
+                event(Applied, 43, 54, Some(true)),
+            ],
+            pin(451, 7_101, 258_716, 0, true, false, 499_995)
+        )
+    );
+}
+
+#[test]
+fn faithful_scale_free_stream_is_pinned() {
+    use StreamStatus::Applied;
+    assert_eq!(
+        stream_pins(scale_free_16(), Mechanism::faithful(), &cost_then(&[])),
+        (
+            vec![
+                event(Applied, 17_940, 246, Some(true)),
+                event(Applied, 2_221, 128, Some(true)),
+                event(Applied, 75, 84, Some(true)),
+            ],
+            pin(695, 29_168, 1_261_908, 0, true, false, 16_499_995)
+        )
     );
 }
