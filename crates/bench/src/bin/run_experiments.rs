@@ -1,4 +1,6 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Runs every experiment of the reproduction and prints its table. The
+//! experiments assert what they reproduce, so a failed claim exits
+//! non-zero; an unknown experiment key exits 2.
 //!
 //! Every simulation below goes through the unified scenario API
 //! (`specfaith::scenario`): one builder call per instance, with the
@@ -29,6 +31,7 @@ use specfaith_graph::cache::RouteCache;
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::generators::{figure1, Figure1};
 use specfaith_graph::lcp::lcp_tree;
+use std::process::ExitCode;
 
 const NODE_NAMES: [&str; 6] = ["A", "B", "C", "D", "Z", "X"];
 
@@ -497,53 +500,40 @@ fn certificate_summary() {
     assert!(certificate.is_faithful());
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |key: &str| args.is_empty() || args.iter().any(|a| a == key);
+/// Every experiment, by the key that selects it, in run order.
+const EXPERIMENTS: [(&str, fn()); 15] = [
+    ("e1", e1_figure1_lcps),
+    ("e2", e2_example1_manipulation),
+    ("e3", e3_strategyproofness),
+    ("e4", e4_convergence),
+    ("e5", e5_plain_unfaithful),
+    ("e6", e6_faithful_equilibrium),
+    ("e7", e7_detection_coverage),
+    ("e8", e8_overhead),
+    ("e9", e9_restart_liveness),
+    ("e10", e10_penalty_calibration),
+    ("e11", e11_signed_channel),
+    ("e12", e12_leader_election),
+    ("e13", e13_other_failure_models),
+    ("e14", e14_parallel_sweep),
+    ("cert", certificate_summary),
+];
 
-    if want("e1") {
-        e1_figure1_lcps();
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |arg: &String| EXPERIMENTS.iter().any(|(key, _)| key == arg);
+    if let Some(unknown) = args.iter().find(|arg| !known(arg)) {
+        let keys: Vec<&str> = EXPERIMENTS.iter().map(|(key, _)| *key).collect();
+        eprintln!(
+            "run_experiments: unknown experiment {unknown:?} (known: {})",
+            keys.join(" ")
+        );
+        return ExitCode::from(2);
     }
-    if want("e2") {
-        e2_example1_manipulation();
+    for (key, experiment) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|arg| arg == key) {
+            experiment();
+        }
     }
-    if want("e3") {
-        e3_strategyproofness();
-    }
-    if want("e4") {
-        e4_convergence();
-    }
-    if want("e5") {
-        e5_plain_unfaithful();
-    }
-    if want("e6") {
-        e6_faithful_equilibrium();
-    }
-    if want("e7") {
-        e7_detection_coverage();
-    }
-    if want("e8") {
-        e8_overhead();
-    }
-    if want("e9") {
-        e9_restart_liveness();
-    }
-    if want("e10") {
-        e10_penalty_calibration();
-    }
-    if want("e11") {
-        e11_signed_channel();
-    }
-    if want("e12") {
-        e12_leader_election();
-    }
-    if want("e13") {
-        e13_other_failure_models();
-    }
-    if want("e14") {
-        e14_parallel_sweep();
-    }
-    if want("cert") {
-        certificate_summary();
-    }
+    ExitCode::SUCCESS
 }

@@ -152,7 +152,7 @@ use specfaith_bench::instance;
 use specfaith_core::id::NodeId;
 use specfaith_fpss::deviation::{standard_catalog, FullRecomputeFaithful, MisreportCost};
 use specfaith_fpss::pricing::{expected_tables_for, expected_tables_uncached_for};
-use specfaith_fpss::runner::{run_plain_uncached, PlainConfig};
+use specfaith_fpss::runner::{run_plain_uncached, RunConfig};
 use specfaith_graph::cache::RouteCache;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -588,7 +588,7 @@ fn stream_preset(
     cold_runs: usize,
 ) -> StreamArm {
     use specfaith_fpss::deviation::Faithful;
-    use specfaith_fpss::runner::PlainRunState;
+    use specfaith_fpss::runner::{Plain, RunState};
     let n = scenario.num_nodes();
     eprintln!("sweep_bench[stream/{label}]: checkpointing at the converged fixed point...");
     let mut session = scenario.stream_session(SWEEP_SEED);
@@ -626,16 +626,17 @@ fn stream_preset(
             // verification with a cold cache, exactly what one event
             // costs without the streaming engine. Byte-identity is
             // pinned at every sample.
-            let mut cold_cfg = PlainConfig::new(
+            let mut cold_cfg = RunConfig::new(
                 scenario.topology().clone(),
                 session.declared().clone(),
                 scenario.traffic().clone(),
             );
-            cold_cfg.max_events = 1_000_000_000;
+            cold_cfg.max_events = Some(1_000_000_000);
             cold_cfg.reference_check = reference.clone();
             let started = Instant::now();
-            let cold = PlainRunState::checkpoint(
+            let cold = RunState::checkpoint(
                 &cold_cfg,
+                Plain,
                 |_| Box::new(Faithful),
                 SWEEP_SEED + 1 + i as u64,
             );
@@ -916,8 +917,8 @@ fn main() -> ExitCode {
     assert_eq!(report.per_seed.len(), 1, "one seed in, one report out");
 
     // Reference arm: sampled cells on the retained pre-optimization paths.
-    let mut config = PlainConfig::new(inst.topo.clone(), inst.costs.clone(), inst.traffic.clone());
-    config.max_events = MAX_EVENTS;
+    let mut config = RunConfig::new(inst.topo.clone(), inst.costs.clone(), inst.traffic.clone());
+    config.max_events = Some(MAX_EVENTS);
     // Both arms must simulate the same network for the ratio to isolate
     // the caching difference.
     config.network = net_model;
@@ -937,8 +938,9 @@ fn main() -> ExitCode {
     // cells are event-budget-bound by design (see the module docs), so
     // the arms compare throughput at the same budget instead.
     if args.net == "ideal" {
-        assert!(
-            baseline.tables_match_centralized,
+        assert_eq!(
+            baseline.tables_match_centralized(),
+            Some(true),
             "reference baseline must converge to the centralized tables"
         );
     }

@@ -1,9 +1,9 @@
 //! # specfaith-bench
 //!
 //! Shared benchmark instances for the experiment runner
-//! (`run_experiments`), which regenerates every experiment table in
-//! EXPERIMENTS.md, the sweep benchmark CLI (`sweep_bench`) and the
-//! repository benchmark (`perfbench/`).
+//! (`run_experiments`), which prints every experiment table, the sweep
+//! benchmark CLI (`sweep_bench`) and the repository benchmark
+//! (`perfbench/`).
 //!
 //! # Shard fragment format
 //!

@@ -14,7 +14,7 @@
 //!    compatibility". [`mac`] implements HMAC-SHA256, and [`auth`] builds a
 //!    per-node authenticated channel on top of it.
 //!
-//! ## Substitution note (documented in DESIGN.md)
+//! ## Substitution note
 //!
 //! The paper assumes generic "signing". Because the *only verifier* of these
 //! messages is the trusted bank, a per-node key shared with the bank plus

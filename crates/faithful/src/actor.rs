@@ -4,6 +4,9 @@
 use crate::bank::BankNode;
 use crate::node::{FMsg, FaithfulNode};
 use specfaith_core::id::NodeId;
+use specfaith_core::money::Cost;
+use specfaith_fpss::node::{FpssCore, StreamCommand};
+use specfaith_fpss::runner::FpssActor;
 use specfaith_netsim::{Actor, Ctx};
 
 /// Either a protocol node or the bank.
@@ -52,7 +55,7 @@ impl NodeOrBank {
         }
     }
 
-    /// Mutable access to the bank (streaming engines flip its
+    /// Mutable access to the bank (a checkpointed run flips its
     /// certification/hold state between simulator runs).
     ///
     /// # Panics
@@ -102,5 +105,22 @@ impl Actor for NodeOrBank {
             NodeOrBank::Node(n) => n.on_quiescence(ctx),
             NodeOrBank::Bank(b) => b.on_quiescence(ctx),
         }
+    }
+}
+
+/// The lifecycle drives the protocol nodes; the bank is never addressed
+/// as one.
+impl FpssActor for NodeOrBank {
+    fn core(&self) -> &FpssCore {
+        self.node().core()
+    }
+    fn declared_cost(&self) -> Option<Cost> {
+        self.node().declared_cost()
+    }
+    fn queue_stream_command(&mut self, cmd: StreamCommand) {
+        self.node_mut().queue_stream_command(cmd);
+    }
+    fn add_traffic(&mut self, dst: NodeId, packets: u64) {
+        self.node_mut().add_traffic(dst, packets);
     }
 }

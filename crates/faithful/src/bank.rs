@@ -37,7 +37,7 @@ enum BankState {
     /// Hash requests sent; waiting for reports.
     AwaitHashes,
     /// Hashes agreed under an execution hold: construction is certified
-    /// but the green light is withheld until the streaming engine calls
+    /// but the green light is withheld until a checkpointed run calls
     /// [`BankNode::request_execution`] (or re-enters certification via
     /// [`BankNode::begin_recertification`]).
     Certified,
@@ -137,7 +137,7 @@ impl BankNode {
 
     /// Puts the bank in streaming mode: a successful hash comparison parks
     /// it in `BankState::Certified` (green-lighted, but no green-light
-    /// broadcast) so the engine can stream topology events against the
+    /// broadcast) so a checkpointed run can stream topology events against the
     /// certified fixed point before releasing execution.
     #[must_use]
     pub fn with_execution_hold(mut self) -> Self {

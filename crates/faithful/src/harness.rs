@@ -1,537 +1,188 @@
-//! The faithful-mechanism run engine: configuration + one-shot run
-//! functions.
+//! The faithful mechanism as an overlay on the FPSS run lifecycle.
 //!
-//! [`FaithfulConfig`] is the plain-data description of one faithful-FPSS
-//! instance; [`run_faithful`] assembles the topology nodes plus the bank,
-//! runs the whole lifecycle (construction → checkpoints → execution →
-//! settlement) inside a single simulator run driven by the bank's
-//! quiescence hooks, and converts the bank's settlement plus ground-truth
-//! node state into realized utilities. The `specfaith::scenario` layer
-//! drives this engine directly.
+//! The paper's faithful mechanism is FPSS plus enforcement: the same
+//! construction and execution, with checkers mirroring each principal and
+//! a bank that certifies construction by hash checkpoints, restarts or
+//! halts it, and settles execution. So the lifecycle is
+//! `specfaith_fpss::runner`'s, and [`Enforcement`] — the bank's
+//! parameters — is the [`Overlay`] that adds the rest: every topology
+//! node is a [`FaithfulNode`] (the FPSS engine plus checker mirrors and
+//! the bank channel), and the bank sits at node id `n` with an overlay
+//! link to every node.
 //!
-//! The centralized reference check of a green-lighted run draws from the
-//! configuration's own [`CacheScope`], with the same discipline as the
-//! plain engine: the true-cost cache is pinned and shared by repeated
-//! runs, and any other declaration's cache is released after its check.
-//!
-//! Utility model (see DESIGN.md):
-//!
-//! ```text
-//! uᵢ = W·delivered(i) + transfersᵢ − penaltiesᵢ − cᵢ·carriedᵢ + V
-//! ```
-//!
-//! when execution completes, and `uᵢ = 0` for everyone when the mechanism
-//! halts (the paper's "strong negative value when a construction phase
-//! does not progress" — V is the progress value forfeited).
+//! A one-shot faithful run is one simulator run driven by the bank's
+//! quiescence hooks: construction, checkpoints, the green light,
+//! execution and settlement. A checkpointed run parks the bank at
+//! certification; each streamed cost event re-certifies, and finishing
+//! releases the held green light. The crate docs show a run.
 
 use crate::actor::NodeOrBank;
 use crate::bank::BankNode;
 use crate::node::FaithfulNode;
 use specfaith_core::id::NodeId;
-use specfaith_core::money::{Cost, Money};
-use specfaith_crypto::sha256::Digest;
-use specfaith_fpss::deviation::{Faithful, RationalStrategy};
-use specfaith_fpss::node::{StreamCommand, TAG_STREAM};
-use specfaith_fpss::runner::ReferenceCheck;
-use specfaith_fpss::settle::SettlementConfig;
-use specfaith_fpss::traffic::TrafficMatrix;
-use specfaith_graph::cache::CacheScope;
-use specfaith_graph::costs::CostVector;
-use specfaith_graph::topology::Topology;
-use specfaith_netsim::{
-    Connectivity, Dynamics, Latency, NetModel, NetStats, Network, SimDuration, SimTime,
-    TopologyEvent,
-};
-use std::collections::BTreeMap;
+use specfaith_core::money::Money;
+use specfaith_crypto::auth::ChannelKey;
+use specfaith_fpss::deviation::RationalStrategy;
+use specfaith_fpss::runner::{Overlay, RunConfig, Verdict};
+use specfaith_netsim::{Connectivity, Latency, Network};
 
-/// Plain-data configuration of a faithful-FPSS simulation instance.
-#[derive(Clone, Debug)]
-pub struct FaithfulConfig {
-    /// The (biconnected) topology.
-    pub topo: Topology,
-    /// True per-node transit costs.
-    pub true_costs: CostVector,
-    /// Execution-phase traffic.
-    pub traffic: TrafficMatrix,
-    /// Settlement parameters (per-packet value `W`).
-    pub settlement: SettlementConfig,
-    /// The progress value `V` every node forfeits if the mechanism halts.
-    pub progress_value: Money,
+/// What the simulated bank derives each node's channel key from. It keys
+/// the MACs of the simulation only; it is not a deployment credential.
+const BANK_SECRET: &[u8] = b"specfaith-bank-secret";
+
+/// The faithful mechanism's enforcement parameters, and the overlay that
+/// runs them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Enforcement {
     /// The ε margin added to clawed-back gains when penalizing.
     pub epsilon: Money,
     /// Construction restarts the bank grants before halting.
     pub max_restarts: u32,
-    /// Link latency model.
-    pub latency: Latency,
-    /// Network model deciding delivery from message size and link load
-    /// (default [`NetModel::Ideal`]: latency-only, byte-identical to the
-    /// pre-model engine).
-    pub network: NetModel,
-    /// Scheduled topology dynamics (default: none). Note the bank overlay
-    /// node (id `n`) is subject to dynamics like any other: a partition
-    /// that excludes it from its island severs checkpointing — the
-    /// documented liveness failure mode probed by `tests/network_models.rs`.
-    pub dynamics: Dynamics,
-    /// Event budget before a run is truncated.
-    pub max_events: u64,
-    /// Secret the bank derives per-node channel keys from.
-    pub bank_secret: Vec<u8>,
-    /// Route-cache registry the harness's centralized reference check
-    /// draws from. Each configuration gets a fresh scope; sweep engines
-    /// thread a scope of their own so the caches die with the workload.
-    pub routes: CacheScope,
-    /// Scope of the post-green-light reference comparison.
-    pub reference_check: ReferenceCheck,
+    /// The progress value `V` every node forfeits if the mechanism halts.
+    pub progress_value: Money,
 }
 
-impl FaithfulConfig {
-    /// A configuration with the default enforcement parameters, latency,
-    /// and event budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        assert!(topo.is_biconnected(), "FPSS requires a biconnected graph");
-        assert_eq!(topo.num_nodes(), true_costs.len(), "cost arity");
-        FaithfulConfig {
-            topo,
-            true_costs,
-            traffic,
-            settlement: SettlementConfig::default(),
-            progress_value: Money::new(1_000_000),
+impl Default for Enforcement {
+    /// ε = 1, 2 restarts, V = 1,000,000.
+    fn default() -> Self {
+        Enforcement {
             epsilon: Money::new(1),
             max_restarts: 2,
-            latency: Latency::DEFAULT,
-            network: NetModel::DEFAULT,
-            dynamics: Dynamics::new(),
-            max_events: 10_000_000,
-            bank_secret: b"specfaith-bank-secret".to_vec(),
-            routes: CacheScope::eager(),
-            reference_check: ReferenceCheck::Full,
+            progress_value: Money::new(1_000_000),
         }
     }
 }
 
-/// Result of one faithful run.
-#[derive(Clone, Debug)]
-pub struct FaithfulRunResult {
-    /// Realized utility per topology node.
-    pub utilities: Vec<Money>,
-    /// Whether construction was certified and execution ran.
-    pub green_lighted: bool,
-    /// Whether the mechanism halted (restart budget exhausted).
-    pub halted: bool,
-    /// Construction restarts performed by the bank.
-    pub restarts: u32,
-    /// Whether enforcement flagged anything: restarts, halt, penalties,
-    /// or authentication failures.
-    pub detected: bool,
-    /// Penalties charged per node.
-    pub penalties: Vec<Money>,
-    /// Whether every checked node's certified tables equal the
-    /// centralized VCG reference under the declared costs — `Some(_)`
-    /// when construction green-lighted (the check draws routes from the
-    /// config's [`CacheScope`]), `None` when the mechanism halted before
-    /// certifying any tables.
-    pub tables_match_centralized: Option<bool>,
-    /// Simulator traffic statistics for the whole lifecycle.
-    pub stats: NetStats,
-    /// Virtual time at which the run settled.
-    pub final_time: SimTime,
-    /// Whether the event budget truncated the run.
-    pub truncated: bool,
+/// The bank of a faithful network over `config`'s topology.
+fn bank<'a>(net: &'a Network<NodeOrBank, Latency>, config: &RunConfig) -> &'a BankNode {
+    net.node(NodeId::from_index(config.topo.num_nodes())).bank()
 }
 
-/// Runs the faithful mechanism with every node honest.
-pub fn run_faithful_honest(config: &FaithfulConfig, seed: u64) -> FaithfulRunResult {
-    run_faithful(config, |_| Box::new(Faithful), seed)
+fn bank_mut<'a>(net: &'a mut Network<NodeOrBank, Latency>, config: &RunConfig) -> &'a mut BankNode {
+    net.node_mut(NodeId::from_index(config.topo.num_nodes()))
+        .bank_mut()
 }
 
-/// Runs the faithful mechanism with `deviant` playing `strategy` and
-/// everyone else honest.
-pub fn run_faithful_with_deviant(
-    config: &FaithfulConfig,
-    deviant: NodeId,
-    strategy: Box<dyn RationalStrategy>,
-    seed: u64,
-) -> FaithfulRunResult {
-    let mut strategy = Some(strategy);
-    run_faithful(
-        config,
-        move |node| {
-            if node == deviant {
-                strategy.take().expect("deviant strategy used once")
-            } else {
-                Box::new(Faithful)
-            }
-        },
-        seed,
-    )
-}
+impl Overlay for Enforcement {
+    type Actor = NodeOrBank;
+    const DEFAULT_MAX_EVENTS: u64 = 10_000_000;
+    const SINGLE_RUN: bool = true;
+    const STREAMS_CHURN: bool = false;
 
-/// Runs the faithful mechanism with an arbitrary strategy assignment: the
-/// whole lifecycle (construction, bank checkpoints, execution, reconciled
-/// settlement) in one simulator run.
-pub fn run_faithful(
-    config: &FaithfulConfig,
-    strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-    seed: u64,
-) -> FaithfulRunResult {
-    let mut net = assemble(config, strategies, seed, true, false);
-    let outcome = net.run();
-    harvest(config, &net, outcome.final_time, outcome.truncated)
-}
-
-/// Builds the actor set (nodes + bank) and the simulated network for one
-/// faithful instance. `queue_traffic` loads the execution flows up front
-/// (the one-shot engine); the streaming engine holds them back until
-/// [`FaithfulRunState::finish`]. `hold_execution` puts the bank in
-/// streaming mode (certify, then park instead of green-lighting).
-fn assemble(
-    config: &FaithfulConfig,
-    mut strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-    seed: u64,
-    queue_traffic: bool,
-    hold_execution: bool,
-) -> Network<NodeOrBank, Latency> {
-    let n = config.topo.num_nodes();
-    let bank_id = NodeId::from_index(n);
-    let max_hops = (4 * n) as u32;
-    let neighbor_map: BTreeMap<NodeId, Vec<NodeId>> = config
-        .topo
-        .nodes()
-        .map(|v| (v, config.topo.neighbors(v).to_vec()))
-        .collect();
-
-    let mut actors: Vec<NodeOrBank> = config
-        .topo
-        .nodes()
-        .map(|me| {
-            NodeOrBank::Node(Box::new(FaithfulNode::new(
-                me,
-                config.topo.neighbors(me).to_vec(),
-                neighbor_map.clone(),
-                config.true_costs.cost(me),
-                strategies(me),
-                bank_id,
-                specfaith_crypto::auth::ChannelKey::derive(&config.bank_secret, me.raw()),
-                max_hops,
-            )))
-        })
-        .collect();
-    let mut bank = BankNode::new(
-        config.topo.clone(),
-        &config.bank_secret,
-        config.max_restarts,
-        config.epsilon,
-    );
-    if hold_execution {
-        bank = bank.with_execution_hold();
-    }
-    actors.push(NodeOrBank::Bank(Box::new(bank)));
-
-    if queue_traffic {
-        // Queue execution traffic up front; nodes send it on green light.
-        for flow in config.traffic.flows() {
-            actors[flow.src.index()]
-                .node_mut()
-                .add_traffic(flow.dst, flow.packets);
-        }
-    }
-
-    Network::new(
-        Connectivity::from_topology_with_overlay(&config.topo, 1),
-        actors,
-        config.latency,
-        seed,
-    )
-    .with_network(&config.network)
-    .with_dynamics(&config.dynamics)
-    .with_max_events(config.max_events)
-}
-
-/// Converts a settled network into a [`FaithfulRunResult`]: utilities from
-/// the bank's settlement plus ground-truth node state, detection flags, and
-/// the post-green-light centralized reference comparison.
-fn harvest(
-    config: &FaithfulConfig,
-    net: &Network<NodeOrBank, Latency>,
-    final_time: SimTime,
-    truncated: bool,
-) -> FaithfulRunResult {
-    let n = config.topo.num_nodes();
-    let bank_id = NodeId::from_index(n);
-    let bank = net.node(bank_id).bank();
-    let green_lighted = bank.green_lighted();
-    let halted = bank.halted();
-    let restarts = bank.restarts();
-    let mut auth_failures = bank.auth_failures();
-    for id in config.topo.nodes() {
-        auth_failures += net.node(id).node().auth_failures();
-    }
-
-    let (utilities, penalties) = match (green_lighted, bank.outcome()) {
-        (true, Some(settlement)) => {
-            let mut utilities = Vec::with_capacity(n);
-            for id in config.topo.nodes() {
-                let node = net.node(id).node();
-                let delivered = settlement.delivered_by_src[id.index()] as i64;
-                let transit_cost = Money::new(config.true_costs.cost(id).value() as i64)
-                    .scale(node.carried() as i64);
-                let u = config.settlement.per_packet_value.scale(delivered)
-                    + settlement.transfers[id.index()]
-                    - settlement.penalties[id.index()]
-                    - transit_cost
-                    + config.progress_value;
-                utilities.push(u);
-            }
-            (utilities, settlement.penalties.clone())
-        }
-        // Halted (or still unsettled): nobody progresses, nobody gains.
-        _ => (vec![Money::ZERO; n], vec![Money::ZERO; n]),
-    };
-
-    let detected =
-        restarts > 0 || halted || auth_failures > 0 || penalties.iter().any(|p| p.is_positive());
-
-    // Once the bank certifies construction, the certified tables can be
-    // compared against the centralized VCG reference under the declared
-    // costs, drawing routes from the config's cache scope exactly as the
-    // plain engine does.
-    let tables_match_centralized = if green_lighted {
-        let declared: CostVector = config
-            .topo
+    /// The topology's faithful nodes, then the bank. A held bank (a
+    /// checkpointed run) certifies, but parks instead of green-lighting.
+    fn assemble(
+        &self,
+        config: &RunConfig,
+        mut strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+        hold: bool,
+    ) -> (Vec<NodeOrBank>, Connectivity) {
+        let topo = &config.topo;
+        let bank_id = NodeId::from_index(topo.num_nodes());
+        let max_hops = (4 * topo.num_nodes()) as u32;
+        let mut actors: Vec<NodeOrBank> = topo
             .nodes()
-            .map(|id| net.node(id).node().declared_cost().expect("started"))
+            .map(|me| {
+                NodeOrBank::Node(Box::new(FaithfulNode::new(
+                    me,
+                    topo,
+                    config.true_costs.cost(me),
+                    strategies(me),
+                    bank_id,
+                    ChannelKey::derive(BANK_SECRET, me.raw()),
+                    max_hops,
+                )))
+            })
             .collect();
-        Some(config.reference_check.check_once(
-            &config.routes,
-            &config.topo,
-            &config.true_costs,
-            &declared,
-            |id| net.node(id).node().core(),
-        ))
-    } else {
-        None
-    };
-
-    FaithfulRunResult {
-        utilities,
-        green_lighted,
-        halted,
-        restarts,
-        detected,
-        penalties,
-        tables_match_centralized,
-        stats: net.stats().clone(),
-        final_time,
-        truncated,
-    }
-}
-
-/// How a streamed [`TopologyEvent`] was handled by
-/// [`FaithfulRunState::apply_event`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaithfulEventStatus {
-    /// The cost re-declaration was absorbed and a recertification round ran.
-    Applied,
-    /// A transport latency override only; nothing to re-converge or
-    /// recertify.
-    LatencyOnly,
-    /// Rejected: the node is unknown, or the bank has already halted.
-    Rejected,
-    /// Churn and partition events hit the faithful mechanism's documented
-    /// liveness hole and are refused (reported, never streamed): the bank's
-    /// checkpointing requires every node to answer signed hash requests, so
-    /// a node leaving — or any partition separating the bank from part of
-    /// the network — stalls certification forever rather than failing it
-    /// (§4.2 assumes a reliable network; the paper has no churn story).
-    /// `tests/network_models.rs` probes the same hole at the transport
-    /// level.
-    LivenessHole,
-}
-
-/// Per-event report from [`FaithfulRunState::apply_event`].
-#[derive(Clone, Copy, Debug)]
-pub struct FaithfulEventOutcome {
-    /// How the event was handled.
-    pub status: FaithfulEventStatus,
-    /// Messages delivered re-converging and recertifying (protocol flood,
-    /// table announcements, and the bank's hash round).
-    pub messages: u64,
-    /// Virtual time the re-convergence plus recertification took.
-    pub micros: u64,
-    /// `micros` in whole message rounds under fixed latency; `None` under
-    /// jitter.
-    pub rounds: Option<u64>,
-    /// Whether the bank re-certified the new fixed point (`Some` exactly
-    /// when the event applied): principal, announced, and recomputed-mirror
-    /// hashes all agree again.
-    pub recertified: Option<bool>,
-    /// Whether the event budget truncated this re-convergence.
-    pub truncated: bool,
-}
-
-/// A faithful-mechanism run suspended at a bank-certified fixed point.
-///
-/// The streaming counterpart of [`run_faithful`], built from the same
-/// `assemble`/`harvest` pieces: [`checkpoint`](FaithfulRunState::checkpoint)
-/// converges construction and stops at certification (the bank is put in
-/// execution hold: it certifies, but parks instead of green-lighting);
-/// [`apply_event`](FaithfulRunState::apply_event) streams a
-/// [`TopologyEvent::NodeCost`] re-declaration through the live network —
-/// CostUpdate flood, destination-scoped recompute at every node *and every
-/// checker mirror*, then a full bank recertification round — and
-/// [`finish`](FaithfulRunState::finish) releases the held execution phase
-/// and settles.
-///
-/// Unlike [`PlainRunState`](specfaith_fpss::runner::PlainRunState), churn is
-/// **not** streamable here: see [`FaithfulEventStatus::LivenessHole`].
-pub struct FaithfulRunState {
-    config: FaithfulConfig,
-    net: Network<NodeOrBank, Latency>,
-    bank_id: NodeId,
-    declared: CostVector,
-    truncated: bool,
-}
-
-impl FaithfulRunState {
-    /// Runs construction to convergence and bank certification, holding
-    /// execution. The returned state is the certified fixed point.
-    pub fn checkpoint(
-        config: &FaithfulConfig,
-        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> FaithfulRunState {
-        let mut net = assemble(config, strategies, seed, false, true);
-        let outcome = net.run();
-        let declared: CostVector = config
-            .topo
-            .nodes()
-            .map(|id| net.node(id).node().declared_cost().expect("started"))
-            .collect();
-        FaithfulRunState {
-            config: config.clone(),
-            net,
-            bank_id: NodeId::from_index(config.topo.num_nodes()),
-            declared,
-            truncated: outcome.truncated,
+        let mut bank = BankNode::new(topo.clone(), BANK_SECRET, self.max_restarts, self.epsilon);
+        if hold {
+            bank = bank.with_execution_hold();
         }
+        actors.push(NodeOrBank::Bank(Box::new(bank)));
+        (actors, Connectivity::from_topology_with_overlay(topo, 1))
     }
 
-    /// Streams one topology event against the certified fixed point.
-    pub fn apply_event(&mut self, event: &TopologyEvent) -> FaithfulEventOutcome {
-        let msgs_before = self.net.stats().msgs_delivered;
-        let t_before = self.net.now();
-        let was_truncated = self.truncated;
-        let mut recertified = None;
-        let status = match *event {
-            TopologyEvent::NodeCost { node, cost } => {
-                if node.index() >= self.config.topo.num_nodes() || self.halted() {
-                    FaithfulEventStatus::Rejected
-                } else {
-                    self.net
-                        .node_mut(self.bank_id)
-                        .bank_mut()
-                        .begin_recertification();
-                    self.net
-                        .node_mut(node)
-                        .node_mut()
-                        .queue_stream_command(StreamCommand::DeclareCost(Cost::new(cost)));
-                    self.net.schedule_timer(node, SimDuration::ZERO, TAG_STREAM);
-                    let outcome = self.net.run();
-                    self.truncated |= outcome.truncated;
-                    let declared = self.net.node(node).node().declared_cost().expect("started");
-                    self.declared = self.declared.with_cost(node, declared);
-                    recertified = Some(self.net.node(self.bank_id).bank().green_lighted());
-                    FaithfulEventStatus::Applied
-                }
-            }
-            TopologyEvent::LinkCost { .. } => {
-                self.net.apply_dynamics_event(event);
-                FaithfulEventStatus::LatencyOnly
-            }
-            TopologyEvent::NodeDown(_)
-            | TopologyEvent::NodeUp(_)
-            | TopologyEvent::Partition { .. }
-            | TopologyEvent::Heal => FaithfulEventStatus::LivenessHole,
-        };
-        let micros = (self.net.now() - t_before).micros();
-        let rounds = match self.config.latency {
-            Latency::Fixed { micros: per_hop } if per_hop > 0 => Some(micros / per_hop),
-            _ => None,
-        };
-        FaithfulEventOutcome {
-            status,
-            messages: self.net.stats().msgs_delivered - msgs_before,
-            micros,
-            rounds,
-            recertified,
-            truncated: self.truncated && !was_truncated,
+    /// Re-arms the bank's certification; a halted bank refuses.
+    fn admit_cost_event(&self, net: &mut Network<NodeOrBank, Latency>, config: &RunConfig) -> bool {
+        let bank = bank_mut(net, config);
+        if bank.halted() {
+            return false;
         }
+        bank.begin_recertification();
+        true
     }
 
-    /// Releases the held execution phase and settles, consuming the state.
-    pub fn finish(mut self) -> FaithfulRunResult {
-        for flow in self.config.traffic.flows() {
-            self.net
-                .node_mut(flow.src)
-                .node_mut()
-                .add_traffic(flow.dst, flow.packets);
-        }
-        self.net
-            .node_mut(self.bank_id)
-            .bank_mut()
-            .request_execution();
-        let outcome = self.net.run();
-        self.truncated |= outcome.truncated;
-        harvest(&self.config, &self.net, outcome.final_time, self.truncated)
+    /// Whether the bank certifies the fixed point.
+    fn certified(&self, net: &Network<NodeOrBank, Latency>, config: &RunConfig) -> Option<bool> {
+        Some(bank(net, config).green_lighted())
     }
 
-    /// Per-node `(data1, routing, pricing)` digests of the certified
-    /// tables, in node order — directly comparable with the plain engine's
-    /// cold oracle (`specfaith_fpss::runner::converged_table_digests`),
-    /// since both mechanisms converge the same [`FpssCore`] fixed point.
+    /// Asks the held bank for its green light.
+    fn start_execution(&self, net: &mut Network<NodeOrBank, Latency>, config: &RunConfig) {
+        bank_mut(net, config).request_execution();
+    }
+
+    /// The bank's settlement plus ground-truth node state. When execution
+    /// completes,
     ///
-    /// [`FpssCore`]: specfaith_fpss::node::FpssCore
-    pub fn table_digests(&self) -> Vec<(Digest, Digest, Digest)> {
-        self.config
-            .topo
-            .nodes()
-            .map(|id| self.net.node(id).node().core().table_digests())
-            .collect()
-    }
+    /// ```text
+    /// uᵢ = W·delivered(i) + transfersᵢ − penaltiesᵢ − cᵢ·carriedᵢ + V
+    /// ```
+    ///
+    /// and when the mechanism halts, `uᵢ = 0` for everyone: the paper's
+    /// "strong negative value when a construction phase does not
+    /// progress", V being the progress value forfeited. Enforcement
+    /// detected the run if the bank restarted or halted it, charged a
+    /// penalty, or any bank-channel MAC failed.
+    fn settle(
+        &self,
+        net: &mut Network<NodeOrBank, Latency>,
+        config: &RunConfig,
+        _checked: Option<bool>,
+    ) -> Verdict {
+        let n = config.topo.num_nodes();
+        let bank = bank(net, config);
+        let green_lighted = bank.green_lighted();
+        let halted = bank.halted();
+        let restarts = bank.restarts();
+        let mut auth_failures = bank.auth_failures();
+        for id in config.topo.nodes() {
+            auth_failures += net.node(id).node().auth_failures();
+        }
 
-    /// The declared cost vector at the certified fixed point.
-    pub fn declared(&self) -> &CostVector {
-        &self.declared
-    }
-
-    /// Whether the bank currently certifies the fixed point.
-    pub fn green_lighted(&self) -> bool {
-        self.net.node(self.bank_id).bank().green_lighted()
-    }
-
-    /// Whether the bank has halted (restart budget exhausted during a
-    /// checkpoint or recertification).
-    pub fn halted(&self) -> bool {
-        self.net.node(self.bank_id).bank().halted()
-    }
-
-    /// Construction restarts the bank has performed so far.
-    pub fn restarts(&self) -> u32 {
-        self.net.node(self.bank_id).bank().restarts()
-    }
-
-    /// Cumulative transport statistics.
-    pub fn stats(&self) -> &NetStats {
-        self.net.stats()
-    }
-
-    /// The configuration this state was checkpointed from.
-    pub fn config(&self) -> &FaithfulConfig {
-        &self.config
+        let (utilities, penalties) = match (green_lighted, bank.outcome()) {
+            (true, Some(settlement)) => {
+                let utilities = config
+                    .topo
+                    .nodes()
+                    .map(|id| {
+                        let delivered = settlement.delivered_by_src[id.index()] as i64;
+                        let transit_cost = Money::new(config.true_costs.cost(id).value() as i64)
+                            .scale(net.node(id).node().carried() as i64);
+                        config.settlement.per_packet_value.scale(delivered)
+                            + settlement.transfers[id.index()]
+                            - settlement.penalties[id.index()]
+                            - transit_cost
+                            + self.progress_value
+                    })
+                    .collect();
+                (utilities, settlement.penalties.clone())
+            }
+            // Halted (or still unsettled): nobody progresses, nobody gains.
+            _ => (vec![Money::ZERO; n], vec![Money::ZERO; n]),
+        };
+        let detected = restarts > 0
+            || halted
+            || auth_failures > 0
+            || penalties.iter().any(|p| p.is_positive());
+        Verdict {
+            utilities,
+            detected,
+            green_lighted,
+            halted,
+            restarts,
+            penalties,
+        }
     }
 }
 
@@ -539,15 +190,50 @@ impl FaithfulRunState {
 mod tests {
     use super::*;
     use specfaith_fpss::deviation::{
-        DeflateOwnPricing, DropCheckerForwards, DropTransitPackets, SpoofShortRoutes,
-        UnderreportPayments,
+        DeflateOwnPricing, DropCheckerForwards, DropCostFlood, DropTransitPackets, Faithful,
+        ForceFullRecompute, FullRecomputeFaithful, MisreportCost, SpoofShortRoutes,
+        TamperCostFlood, UnderreportPayments,
     };
     use specfaith_fpss::pricing::vcg_payment;
-    use specfaith_fpss::traffic::Flow;
+    use specfaith_fpss::runner::{
+        converged_table_digests, run, EventStatus, Plain, RunReport, RunState,
+    };
+    use specfaith_fpss::traffic::{Flow, TrafficMatrix};
     use specfaith_graph::cache::RouteCache;
-    use specfaith_graph::generators::figure1;
+    use specfaith_graph::costs::CostVector;
+    use specfaith_graph::generators::{figure1, Figure1};
+    use specfaith_netsim::TopologyEvent;
 
-    fn figure1_config() -> (specfaith_graph::generators::Figure1, FaithfulConfig) {
+    fn honest(_: NodeId) -> Box<dyn RationalStrategy> {
+        Box::new(Faithful)
+    }
+
+    /// `strategy` at `at`, every other node faithful.
+    fn deviant(
+        at: NodeId,
+        strategy: Box<dyn RationalStrategy>,
+    ) -> impl FnMut(NodeId) -> Box<dyn RationalStrategy> {
+        let mut strategy = Some(strategy);
+        move |node| {
+            if node == at {
+                strategy.take().expect("deviant strategy used once")
+            } else {
+                Box::new(Faithful)
+            }
+        }
+    }
+
+    /// A faithful run with the default enforcement.
+    fn enforced(
+        config: &RunConfig,
+        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+        seed: u64,
+    ) -> RunReport {
+        run(config, Enforcement::default(), strategies, seed)
+    }
+
+    /// Figure 1 with X→Z, D→Z and Z→X traffic: the faithful instance.
+    fn figure1_config() -> (Figure1, RunConfig) {
         let net = figure1();
         let traffic = TrafficMatrix::from_flows(vec![
             Flow {
@@ -566,17 +252,24 @@ mod tests {
                 packets: 3,
             },
         ]);
-        let config = FaithfulConfig::new(net.topology.clone(), net.costs.clone(), traffic);
+        let config = RunConfig::new(net.topology.clone(), net.costs.clone(), traffic);
+        (net, config)
+    }
+
+    /// Figure 1 with X→Z and D→Z traffic only: the plain instance.
+    fn plain_figure1_config() -> (Figure1, RunConfig) {
+        let (net, mut config) = figure1_config();
+        config.traffic = TrafficMatrix::from_flows(config.traffic.flows()[..2].to_vec());
         (net, config)
     }
 
     #[test]
     fn faithful_run_green_lights_without_restarts() {
         let (_, config) = figure1_config();
-        let run = run_faithful_honest(&config, 1);
-        assert!(run.green_lighted, "honest construction certifies");
-        assert!(!run.halted);
-        assert_eq!(run.restarts, 0);
+        let run = enforced(&config, honest, 1);
+        assert!(run.green_lighted(), "honest construction certifies");
+        assert!(!run.halted());
+        assert_eq!(run.restarts(), 0);
         assert!(!run.detected);
         assert!(!run.truncated);
     }
@@ -586,7 +279,7 @@ mod tests {
         // Required for halting to be a real punishment: every node must
         // strictly prefer the mechanism completing.
         let (_, config) = figure1_config();
-        let run = run_faithful_honest(&config, 1);
+        let run = enforced(&config, honest, 1);
         for (i, u) in run.utilities.iter().enumerate() {
             assert!(u.is_positive(), "node {i} has utility {u}");
         }
@@ -596,8 +289,8 @@ mod tests {
     fn faithful_nodes_converge_to_vcg_tables() {
         let (net, config) = figure1_config();
         // Re-run manually to inspect node state.
-        let run = run_faithful_honest(&config, 1);
-        assert!(run.green_lighted);
+        let run = enforced(&config, honest, 1);
+        assert!(run.green_lighted());
         // The faithful run's tables are checked indirectly by the bank
         // (hash equality across principal and checkers); sanity-check one
         // payment figure: X pays C p^C per packet, 5 packets.
@@ -620,22 +313,22 @@ mod tests {
             ),
             ("drop-checker-forwards", Box::new(DropCheckerForwards)),
         ] {
-            let run = run_faithful_with_deviant(&config, net.c, strategy, 1);
+            let run = enforced(&config, deviant(net.c, strategy), 1);
             assert!(run.detected, "{name} must be detected");
             assert!(
-                !run.green_lighted,
+                !run.green_lighted(),
                 "{name}: corrupted construction must never green-light"
             );
-            assert!(run.halted, "{name}: persistent deviant halts mechanism");
-            assert!(run.restarts > 0, "{name}: bank retried before halting");
+            assert!(run.halted(), "{name}: persistent deviant halts mechanism");
+            assert!(run.restarts() > 0, "{name}: bank retried before halting");
         }
     }
 
     #[test]
     fn construction_deviations_are_strictly_unprofitable() {
         let (net, config) = figure1_config();
-        let faithful = run_faithful_honest(&config, 1);
-        let run = run_faithful_with_deviant(&config, net.c, Box::new(SpoofShortRoutes), 1);
+        let faithful = enforced(&config, honest, 1);
+        let run = enforced(&config, deviant(net.c, Box::new(SpoofShortRoutes)), 1);
         assert!(
             run.utilities[net.c.index()] < faithful.utilities[net.c.index()],
             "halting forfeits the progress value"
@@ -645,18 +338,17 @@ mod tests {
     #[test]
     fn execution_deviations_are_penalized_into_unprofitability() {
         let (net, config) = figure1_config();
-        let faithful = run_faithful_honest(&config, 1);
+        let faithful = enforced(&config, honest, 1);
 
         // Payment fraud: caught by reconciliation, penalty ε-above.
-        let fraud = run_faithful_with_deviant(
+        let fraud = enforced(
             &config,
-            net.x,
-            Box::new(UnderreportPayments { keep_percent: 10 }),
+            deviant(net.x, Box::new(UnderreportPayments { keep_percent: 10 })),
             1,
         );
-        assert!(fraud.green_lighted, "construction was honest");
+        assert!(fraud.green_lighted(), "construction was honest");
         assert!(fraud.detected);
-        assert!(fraud.penalties[net.x.index()].is_positive());
+        assert!(fraud.penalties()[net.x.index()].is_positive());
         assert!(
             fraud.utilities[net.x.index()] < faithful.utilities[net.x.index()],
             "underreporting strictly loses: {} vs {}",
@@ -665,9 +357,9 @@ mod tests {
         );
 
         // Packet dropping: caught by flow conservation.
-        let drop = run_faithful_with_deviant(&config, net.c, Box::new(DropTransitPackets), 1);
+        let drop = enforced(&config, deviant(net.c, Box::new(DropTransitPackets)), 1);
         assert!(drop.detected);
-        assert!(drop.penalties[net.c.index()].is_positive());
+        assert!(drop.penalties()[net.c.index()].is_positive());
         assert!(
             drop.utilities[net.c.index()] < faithful.utilities[net.c.index()],
             "dropping strictly loses: {} vs {}",
@@ -676,139 +368,236 @@ mod tests {
         );
     }
 
-    use specfaith_fpss::deviation::{ForceFullRecompute, FullRecomputeFaithful, MisreportCost};
-
     #[test]
     fn honest_runs_certify_tables_matching_the_centralized_reference() {
         let (_, config) = figure1_config();
-        let run = run_faithful_honest(&config, 1);
+        let run = enforced(&config, honest, 1);
         assert_eq!(
-            run.tables_match_centralized,
+            run.tables_match_centralized(),
             Some(true),
             "green-lighted tables must equal the VCG reference"
         );
         // A construction-corrupting deviant halts before certifying:
         // there are no green-lighted tables to compare.
         let (net, config) = figure1_config();
-        let halted = run_faithful_with_deviant(&config, net.c, Box::new(SpoofShortRoutes), 1);
-        assert!(!halted.green_lighted);
-        assert_eq!(halted.tables_match_centralized, None);
+        let halted = enforced(&config, deviant(net.c, Box::new(SpoofShortRoutes)), 1);
+        assert!(!halted.green_lighted());
+        assert_eq!(halted.tables_match_centralized(), None);
+    }
+
+    /// Asserts that two runs settled alike: utilities, penalties, green
+    /// light, restarts, detection, reference agreement and message count.
+    fn assert_same_settlement(a: &RunReport, b: &RunReport, label: &str) {
+        assert_eq!(a.utilities, b.utilities, "{label}");
+        assert_eq!(a.penalties(), b.penalties(), "{label}");
+        assert_eq!(a.green_lighted(), b.green_lighted(), "{label}");
+        assert_eq!(a.restarts(), b.restarts(), "{label}");
+        assert_eq!(a.detected, b.detected, "{label}");
+        assert_eq!(
+            a.tables_match_centralized(),
+            b.tables_match_centralized(),
+            "{label}"
+        );
+        assert_eq!(
+            a.stats.total_msgs(),
+            b.stats.total_msgs(),
+            "{label}: announcement traffic must be identical"
+        );
     }
 
     #[test]
     fn safe_deviants_take_the_incremental_path_byte_identically() {
-        // The deviant-node recompute satellite, under the full
-        // enforcement stack: a destination-scoped-safe deviant
-        // (MisreportCost only perturbs its declaration) on the
-        // incremental path is indistinguishable from the same deviant
-        // forced onto the full recompute — same utilities, penalties,
-        // detection, and message counts.
+        // The deviant-node recompute satellite: strategies whose
+        // computation hooks are the identity declare destination-scoped
+        // safety and ride the incremental path — observationally
+        // indistinguishable (same utilities, penalties, detection, message
+        // counts and reference agreement) from the same strategy forced
+        // onto the full-table recompute, under plain FPSS and under the
+        // full enforcement stack.
+        let (net, config) = plain_figure1_config();
+        type StrategyFactory = Box<dyn Fn() -> Box<dyn RationalStrategy>>;
+        let cases: Vec<(StrategyFactory, &str)> = vec![
+            (
+                Box::new(|| Box::new(MisreportCost { delta: 3 })),
+                "misreport",
+            ),
+            (
+                Box::new(|| Box::new(TamperCostFlood { multiplier: 7 })),
+                "tamper-flood",
+            ),
+            (Box::new(|| Box::new(DropCostFlood)), "drop-flood"),
+            (Box::new(|| Box::new(DropTransitPackets)), "drop-packets"),
+            (
+                Box::new(|| Box::new(UnderreportPayments { keep_percent: 10 })),
+                "underreport",
+            ),
+        ];
+        for (make, label) in cases {
+            assert!(
+                make().dst_scoped_recompute_safe(),
+                "{label} must declare destination-scoped safety"
+            );
+            let fast = run(&config, Plain, deviant(net.c, make()), 3);
+            let forced = Box::new(ForceFullRecompute(make()));
+            let slow = run(&config, Plain, deviant(net.c, forced), 3);
+            assert_same_settlement(&fast, &slow, label);
+        }
+
         let (net, config) = figure1_config();
-        let fast =
-            run_faithful_with_deviant(&config, net.c, Box::new(MisreportCost { delta: 3 }), 1);
-        let slow = run_faithful_with_deviant(
+        let fast = enforced(
             &config,
-            net.c,
-            Box::new(ForceFullRecompute(Box::new(MisreportCost { delta: 3 }))),
+            deviant(net.c, Box::new(MisreportCost { delta: 3 })),
             1,
         );
-        assert_eq!(fast.utilities, slow.utilities);
-        assert_eq!(fast.penalties, slow.penalties);
-        assert_eq!(fast.detected, slow.detected);
-        assert_eq!(fast.green_lighted, slow.green_lighted);
-        assert_eq!(
-            fast.stats.total_msgs(),
-            slow.stats.total_msgs(),
-            "announcement traffic must be identical"
-        );
+        let forced = ForceFullRecompute(Box::new(MisreportCost { delta: 3 }));
+        let slow = enforced(&config, deviant(net.c, Box::new(forced)), 1);
+        assert_same_settlement(&fast, &slow, "faithful misreport");
     }
 
     #[test]
     fn incremental_recompute_is_byte_identical_to_full() {
-        // Under the faithful mechanism the equivalence must survive the
-        // whole enforcement stack: checker mirrors, bank hash
-        // checkpoints, reconciliation, settlement.
+        // The destination-scoped fast path must be observationally
+        // indistinguishable from the full recompute: same converged
+        // tables, same announcements (hence same message counts), same
+        // utilities — for plain FPSS on Figure 1 and random biconnected
+        // graphs, and under the whole faithful enforcement stack: checker
+        // mirrors, bank hash checkpoints, reconciliation, settlement.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use specfaith_graph::generators::{random_biconnected, scale_free};
+
+        let mut configs = vec![plain_figure1_config().1];
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 6 + (seed as usize % 6);
+            let topo = random_biconnected(n, n / 2, &mut rng);
+            let costs = CostVector::random(n, 0, 15, &mut rng);
+            let traffic = TrafficMatrix::random(n, 3, 2, &mut rng);
+            configs.push(RunConfig::new(topo, costs, traffic));
+        }
+        // Larger instances exercise the flood-time destination scoping
+        // (dsts_affected_by_cost) across longer convergence runs.
+        for seed in [100u64, 101] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = scale_free(24, 2, &mut rng);
+            let costs = CostVector::random(24, 1, 20, &mut rng);
+            let traffic = TrafficMatrix::random(24, 5, 2, &mut rng);
+            configs.push(RunConfig::new(topo, costs, traffic));
+        }
+        for (i, config) in configs.iter().enumerate() {
+            let fast = run(config, Plain, honest, 3);
+            let slow = run(config, Plain, |_| Box::new(FullRecomputeFaithful), 3);
+            assert_same_settlement(&fast, &slow, &format!("config {i}"));
+        }
+
         let (_, config) = figure1_config();
-        let fast = run_faithful_honest(&config, 1);
-        let slow = run_faithful(&config, |_| Box::new(FullRecomputeFaithful), 1);
-        assert_eq!(fast.utilities, slow.utilities);
-        assert_eq!(fast.green_lighted, slow.green_lighted);
-        assert_eq!(fast.restarts, slow.restarts);
-        assert_eq!(fast.detected, slow.detected);
-        assert_eq!(fast.penalties, slow.penalties);
-        assert_eq!(
-            fast.stats.total_msgs(),
-            slow.stats.total_msgs(),
-            "announcement traffic must be identical"
-        );
+        let fast = enforced(&config, honest, 1);
+        let slow = enforced(&config, |_| Box::new(FullRecomputeFaithful), 1);
+        assert_same_settlement(&fast, &slow, "faithful");
+    }
+
+    /// Checkpoint-then-finish against the one-shot run, with a fresh
+    /// strategy assignment from `strategies` for each.
+    fn assert_staged_matches_one_shot<O: Overlay + Copy, S>(
+        config: &RunConfig,
+        overlay: O,
+        strategies: impl Fn() -> S,
+        seed: u64,
+    ) where
+        S: FnMut(NodeId) -> Box<dyn RationalStrategy>,
+    {
+        let label = format!("seed {seed}");
+        let oneshot = run(config, overlay, strategies(), seed);
+        let staged = RunState::checkpoint(config, overlay, strategies(), seed).finish();
+        assert_same_settlement(&oneshot, &staged, &label);
+        assert_eq!(oneshot.final_time, staged.final_time, "{label}");
+        assert_eq!(oneshot.truncated, staged.truncated, "{label}");
     }
 
     #[test]
-    fn checkpoint_then_finish_matches_the_one_shot_engine() {
-        // Parking at certification and immediately releasing execution
-        // reproduces the one-shot lifecycle: the held green light is the
-        // same broadcast, just issued from a later quiescence round, and
-        // the pause consumes no virtual time.
+    fn checkpoint_then_finish_matches_the_one_shot_run() {
+        // Suspending at the plain fixed point and immediately finishing is
+        // the one-shot run, honest or misreporting.
+        let (net, config) = plain_figure1_config();
+        for seed in [1u64, 3, 9] {
+            assert_staged_matches_one_shot(&config, Plain, || honest, seed);
+            let misreport = || deviant(net.c, Box::new(MisreportCost { delta: 2 }));
+            assert_staged_matches_one_shot(&config, Plain, misreport, seed);
+        }
+
+        // Parking the faithful bank at certification and immediately
+        // releasing execution reproduces the one-shot lifecycle: the held
+        // green light is the same broadcast, just issued from a later
+        // quiescence round, and the pause consumes no virtual time.
         let (_, config) = figure1_config();
-        let oneshot = run_faithful_honest(&config, 1);
-        let state = FaithfulRunState::checkpoint(&config, |_| Box::new(Faithful), 1);
-        assert!(state.green_lighted(), "honest checkpoint certifies");
-        assert!(!state.halted());
-        assert_eq!(state.restarts(), 0);
-        let staged = state.finish();
-        assert_eq!(oneshot.utilities, staged.utilities);
-        assert_eq!(oneshot.penalties, staged.penalties);
-        assert_eq!(oneshot.green_lighted, staged.green_lighted);
-        assert_eq!(oneshot.restarts, staged.restarts);
-        assert_eq!(oneshot.detected, staged.detected);
-        assert_eq!(
-            oneshot.tables_match_centralized,
-            staged.tables_match_centralized
-        );
-        assert_eq!(oneshot.stats.total_msgs(), staged.stats.total_msgs());
-        assert_eq!(oneshot.final_time, staged.final_time);
+        let state = RunState::checkpoint(&config, Enforcement::default(), honest, 1);
+        let held = bank(state.network(), &config);
+        assert!(held.green_lighted(), "honest checkpoint certifies");
+        assert!(!held.halted());
+        assert_eq!(held.restarts(), 0);
+        assert_staged_matches_one_shot(&config, Enforcement::default(), || honest, 1);
     }
 
-    #[test]
-    fn streamed_cost_events_recertify_and_match_the_plain_fixed_point() {
-        use specfaith_fpss::runner::converged_table_digests;
-        use specfaith_netsim::TopologyEvent;
-        let (net, config) = figure1_config();
-        let mut state = FaithfulRunState::checkpoint(&config, |_| Box::new(Faithful), 1);
+    /// Streams C→9, D→0 and C→9 again (re-declaring the current value
+    /// still floods but changes nothing) from a checkpoint at `seed`, and
+    /// checks every fixed point against a cold plain run seeded
+    /// `cold_seed + i`, then the finished run.
+    fn assert_stream_lands_on_cold<O: Overlay>(
+        config: &RunConfig,
+        overlay: O,
+        seed: u64,
+        cold_seed: u64,
+    ) {
+        let net = figure1();
+        let mut state = RunState::checkpoint(config, overlay, honest, seed);
+        assert!(state.tables_match_centralized());
         for (i, (node, cost)) in [(net.c, 9u64), (net.d, 0), (net.c, 9)]
             .into_iter()
             .enumerate()
         {
             let outcome = state.apply_event(&TopologyEvent::NodeCost { node, cost });
-            assert_eq!(outcome.status, FaithfulEventStatus::Applied, "event {i}");
+            assert_eq!(outcome.status, EventStatus::Applied, "event {i}");
             assert_eq!(
-                outcome.recertified,
+                outcome.verified,
                 Some(true),
-                "event {i}: principal, announced, and mirror hashes must re-agree"
+                "event {i}: the reference check (plain), or principal, announced \
+                 and mirror hashes (faithful), must re-agree"
             );
-            assert!(outcome.messages > 0, "event {i}");
+            assert!(outcome.messages > 0, "event {i}: the CostUpdate must flood");
             assert!(!outcome.truncated, "event {i}");
-            // The certified faithful tables are the same FpssCore fixed
-            // point a cold plain run converges to.
+            // Both mechanisms converge the same FpssCore fixed point a cold
+            // plain run does.
             let cold = converged_table_digests(
                 &config.topo,
                 state.declared(),
                 config.latency,
-                23 + i as u64,
+                cold_seed + i as u64,
             );
-            assert_eq!(state.table_digests(), cold, "event {i}");
+            assert_eq!(
+                state.table_digests(),
+                cold,
+                "event {i}: streamed fixed point diverged from a cold run"
+            );
         }
         let result = state.finish();
-        assert!(result.green_lighted);
+        assert_eq!(result.tables_match_centralized(), Some(true));
+        assert!(!result.truncated);
+        assert!(result.green_lighted());
         assert!(!result.detected);
-        assert_eq!(result.tables_match_centralized, Some(true));
+    }
+
+    #[test]
+    fn streamed_cost_events_land_on_the_cold_fixed_point() {
+        let (_, config) = plain_figure1_config();
+        assert_stream_lands_on_cold(&config, Plain, 3, 7);
+        let (_, config) = figure1_config();
+        assert_stream_lands_on_cold(&config, Enforcement::default(), 1, 23);
     }
 
     #[test]
     fn streamed_churn_reports_the_liveness_hole_instead_of_hanging() {
-        use specfaith_netsim::TopologyEvent;
         let (net, config) = figure1_config();
-        let mut state = FaithfulRunState::checkpoint(&config, |_| Box::new(Faithful), 1);
+        let mut state = RunState::checkpoint(&config, Enforcement::default(), honest, 1);
         let baseline = state.table_digests();
         for event in [
             TopologyEvent::NodeDown(net.c),
@@ -821,17 +610,17 @@ mod tests {
             let outcome = state.apply_event(&event);
             assert_eq!(
                 outcome.status,
-                FaithfulEventStatus::LivenessHole,
+                EventStatus::LivenessHole,
                 "{event:?}: churn stalls the bank's signed hash round; it \
                  must be refused, not streamed"
             );
             assert_eq!(outcome.messages, 0);
-            assert_eq!(outcome.recertified, None);
+            assert_eq!(outcome.verified, None);
         }
         // The certified fixed point is untouched and still usable.
         assert_eq!(state.table_digests(), baseline);
-        assert!(state.green_lighted());
+        assert!(bank(state.network(), &config).green_lighted());
         let result = state.finish();
-        assert!(result.green_lighted);
+        assert!(result.green_lighted());
     }
 }

@@ -36,9 +36,9 @@
 //! * [`bank`] — the bank actor: checkpointing, restart policy, execution
 //!   settlement.
 //! * [`actor`] — the heterogeneous node/bank wrapper for the simulator.
-//! * [`harness`] — the faithful run engine: one-call runs and resumable
-//!   streaming fixed points (deviation sweeps live in
-//!   `specfaith::scenario`).
+//! * [`harness`] — the faithful mechanism as an overlay on the FPSS run
+//!   lifecycle (`specfaith_fpss::runner`): the bank and its enforcement
+//!   parameters (deviation sweeps live in `specfaith::scenario`).
 //! * [`metrics`] — plain-vs-faithful overhead accounting (experiment E8).
 //! * [`penalty`] — the ε-above penalty policy and its calibration
 //!   analysis (experiment E10).
@@ -46,18 +46,20 @@
 //! # Example
 //!
 //! ```
-//! use specfaith_faithful::harness::{run_faithful_honest, FaithfulConfig};
+//! use specfaith_faithful::harness::Enforcement;
+//! use specfaith_fpss::deviation::Faithful;
+//! use specfaith_fpss::runner::{run, RunConfig};
 //! use specfaith_fpss::traffic::TrafficMatrix;
 //! use specfaith_graph::generators::figure1;
 //!
 //! let net = figure1();
-//! let config = FaithfulConfig::new(
+//! let config = RunConfig::new(
 //!     net.topology.clone(),
 //!     net.costs.clone(),
 //!     TrafficMatrix::single(net.x, net.z, 5),
 //! );
-//! let run = run_faithful_honest(&config, 7);
-//! assert!(run.green_lighted && !run.detected);
+//! let report = run(&config, Enforcement::default(), |_| Box::new(Faithful), 7);
+//! assert!(report.green_lighted() && !report.detected);
 //! ```
 
 pub mod actor;
@@ -71,6 +73,5 @@ pub mod node;
 pub mod penalty;
 
 pub use bank::BankNode;
-pub use harness::{run_faithful, run_faithful_honest, run_faithful_with_deviant};
-pub use harness::{FaithfulConfig, FaithfulRunResult};
+pub use harness::Enforcement;
 pub use node::FaithfulNode;

@@ -5,8 +5,9 @@
 //! it: the same topology, costs, and traffic run through plain FPSS and
 //! through the faithful extension, comparing message and byte counts.
 
-use crate::harness::{run_faithful_honest, FaithfulConfig};
-use specfaith_fpss::runner::{run_plain_faithful, PlainConfig};
+use crate::harness::Enforcement;
+use specfaith_fpss::deviation::Faithful;
+use specfaith_fpss::runner::{run, Plain, RunConfig};
 use specfaith_fpss::traffic::TrafficMatrix;
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::topology::Topology;
@@ -71,17 +72,17 @@ pub fn measure_overhead(
     traffic: &TrafficMatrix,
     seed: u64,
 ) -> OverheadReport {
-    let plain = run_plain_faithful(
-        &PlainConfig::new(topo.clone(), costs.clone(), traffic.clone()),
-        seed,
-    );
+    let config = RunConfig::new(topo.clone(), costs.clone(), traffic.clone());
+    let plain = run(&config, Plain, |_| Box::new(Faithful), seed);
     assert!(!plain.truncated, "plain run truncated");
-    let faithful = run_faithful_honest(
-        &FaithfulConfig::new(topo.clone(), costs.clone(), traffic.clone()),
+    let faithful = run(
+        &config,
+        Enforcement::default(),
+        |_| Box::new(Faithful),
         seed,
     );
     assert!(!faithful.truncated, "faithful run truncated");
-    assert!(faithful.green_lighted, "faithful run must certify");
+    assert!(faithful.green_lighted(), "faithful run must certify");
     OverheadReport {
         nodes: topo.num_nodes(),
         edges: topo.num_edges(),

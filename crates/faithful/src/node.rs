@@ -29,6 +29,7 @@ use specfaith_crypto::auth::{Authenticated, ChannelKey};
 use specfaith_fpss::deviation::RationalStrategy;
 use specfaith_fpss::msg::{FpssMsg, Packet};
 use specfaith_fpss::node::{FpssCore, PlainFpssNode, StreamCommand, Tap, TAG_STREAM};
+use specfaith_graph::topology::Topology;
 use specfaith_netsim::{Actor, Ctx, Payload};
 use std::collections::BTreeMap;
 
@@ -181,31 +182,22 @@ impl std::fmt::Debug for FaithfulNode {
 }
 
 impl FaithfulNode {
-    /// Creates a node.
-    ///
-    /// `neighbor_map` provides each neighbor's own neighbor list (the
-    /// semi-private adjacency knowledge checkers hold about their
-    /// principals).
-    #[allow(clippy::too_many_arguments)] // node identity, knowledge, strategy, and bank wiring are all distinct concerns
+    /// Creates topology node `me` of `topo`. Its checker mirrors read each
+    /// neighbor's own neighbor list from `topo` (the semi-private adjacency
+    /// knowledge checkers hold about their principals).
     pub fn new(
         me: NodeId,
-        neighbors: Vec<NodeId>,
-        neighbor_map: BTreeMap<NodeId, Vec<NodeId>>,
+        topo: &Topology,
         true_cost: Cost,
         strategy: Box<dyn RationalStrategy>,
         bank: NodeId,
         key: ChannelKey,
         max_hops: u32,
     ) -> Self {
+        let neighbors = topo.neighbors(me).to_vec();
         let mirrors = neighbors
             .iter()
-            .map(|&p| {
-                let p_neighbors = neighbor_map
-                    .get(&p)
-                    .expect("neighbor map covers all neighbors")
-                    .clone();
-                (p, Mirror::new(me, p, p_neighbors))
-            })
+            .map(|&p| (p, Mirror::new(me, p, topo.neighbors(p).to_vec())))
             .collect();
         FaithfulNode {
             engine: PlainFpssNode::with_tap(
@@ -227,9 +219,9 @@ impl FaithfulNode {
 
     /// Queues a streaming management command; the engine schedules a
     /// [`TAG_STREAM`] timer on this node to drain the queue in-simulation.
-    /// The faithful engine only streams [`StreamCommand::DeclareCost`] —
-    /// churn commands are a plain-engine concept (see the liveness-hole
-    /// discussion on `FaithfulRunState`).
+    /// The faithful mechanism only streams [`StreamCommand::DeclareCost`]:
+    /// churn is its liveness hole (see
+    /// `specfaith_fpss::runner::EventStatus::LivenessHole`).
     pub fn queue_stream_command(&mut self, cmd: StreamCommand) {
         self.engine.queue_stream_command(cmd);
     }

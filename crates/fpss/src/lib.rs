@@ -40,22 +40,24 @@
 //!   computing realized utilities.
 //! * [`deviation`] — the `RationalStrategy`
 //!   hook surface and the deviation library (the manipulations of §4.3).
-//! * [`runner`] — the plain run engine (`PlainConfig` + `run_plain`):
-//!   build network, converge construction, run execution, settle.
+//! * [`runner`] — the run lifecycle (`RunConfig` + `run`): build the
+//!   network, converge construction, run execution, settle — plain, or
+//!   under a mechanism's overlay.
 //!
 //! # Example
 //!
 //! ```
-//! use specfaith_fpss::runner::{run_plain_faithful, PlainConfig};
+//! use specfaith_fpss::deviation::Faithful;
+//! use specfaith_fpss::runner::{run, Plain, RunConfig};
 //! use specfaith_fpss::traffic::TrafficMatrix;
 //! use specfaith_graph::generators::figure1;
 //!
 //! let net = figure1();
 //! let traffic = TrafficMatrix::single(net.x, net.z, 10);
-//! let config = PlainConfig::new(net.topology.clone(), net.costs.clone(), traffic);
-//! let run = run_plain_faithful(&config, 7);
+//! let config = RunConfig::new(net.topology.clone(), net.costs.clone(), traffic);
+//! let report = run(&config, Plain, |_| Box::new(Faithful), 7);
 //! // Construction converged to the exact centralized tables.
-//! assert!(run.tables_match_centralized);
+//! assert_eq!(report.tables_match_centralized(), Some(true));
 //! ```
 
 pub mod compute;

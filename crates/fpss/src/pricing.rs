@@ -7,7 +7,7 @@
 //! (Proposition 2's first leg) is tested against this reference via
 //! [`RoutingProblem`].
 //!
-//! The run engines verify a node's converged tables with
+//! The run lifecycle verifies a node's converged tables with
 //! [`tables_match`], which walks the node's DATA2 and DATA3\* rows and
 //! checks each against the [`RouteCache`] in place: row counts first, then
 //! every route against the LCP tree and every price against its avoid

@@ -1,9 +1,16 @@
-//! The plain-FPSS run engine: configuration + one-shot run functions.
+//! The FPSS run lifecycle, for both mechanisms.
 //!
-//! [`PlainConfig`] is the plain-data description of one plain-FPSS
-//! instance (topology, true costs, traffic, latency, settlement, event
-//! budget); [`run_plain`] executes it for a given strategy assignment and
-//! seed. The `specfaith::scenario` layer drives this engine directly.
+//! [`RunConfig`] is the plain-data description of one FPSS instance;
+//! [`run`] executes it for a given strategy assignment and seed, and
+//! [`RunState`] holds it at its converged fixed point for streamed
+//! [`TopologyEvent`]s. The `specfaith::scenario` layer drives this
+//! lifecycle directly.
+//!
+//! The lifecycle is written once, generic over an [`Overlay`]: what a
+//! mechanism adds to plain FPSS. [`Plain`] adds nothing, so a plain run is
+//! a network of [`PlainFpssNode`]s carrying [`FpssMsg`](crate::msg::FpssMsg).
+//! The faithful mechanism's bank is the other overlay
+//! (`specfaith_faithful::harness::Enforcement`).
 //!
 //! Each configuration owns a [`CacheScope`] for its centralized
 //! reference check. A run whose declarations are the true costs pins
@@ -13,7 +20,7 @@
 
 use crate::deviation::{Faithful, RationalStrategy};
 use crate::node::{FpssCore, PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
-use crate::pricing::{tables_agree, tables_match};
+use crate::pricing::{expected_tables_uncached_for, tables_agree, tables_match};
 use crate::settle::{settle_plain, SettlementConfig};
 use crate::traffic::TrafficMatrix;
 use specfaith_core::id::NodeId;
@@ -23,10 +30,11 @@ use specfaith_graph::cache::{CacheScope, RouteCache};
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::topology::Topology;
 use specfaith_netsim::{
-    Connectivity, Dynamics, Latency, NetModel, NetStats, Network, SimDuration, SimTime,
+    Actor, Connectivity, Dynamics, Latency, NetModel, NetStats, Network, SimDuration, SimTime,
     TopologyEvent,
 };
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::Arc;
 
 /// How a run's converged tables are compared against the centralized VCG
@@ -60,39 +68,45 @@ impl ReferenceCheck {
             }
         }
     }
+}
 
-    /// Checks converged tables once against the centralized reference
-    /// under `declared`, for the sources this policy selects; `core_of`
-    /// gives each node's construction core. The reference cache comes
-    /// from `scope`: pinned when `declared` are the true costs, so repeated
-    /// runs share it and misreport runs repair theirs from it, and
-    /// released after the check, which drops a misreport's single-use
-    /// cache and keeps the pinned one.
-    pub fn check_once<'a>(
-        &self,
-        scope: &CacheScope,
-        topo: &Topology,
-        true_costs: &CostVector,
-        declared: &CostVector,
-        core_of: impl Fn(NodeId) -> &'a FpssCore,
-    ) -> bool {
-        let routes = if declared == true_costs {
-            scope.pin(topo, declared)
-        } else {
-            scope.cache(topo, declared)
-        };
-        let ok = self.sources(topo.num_nodes()).into_iter().all(|id| {
-            let core = core_of(id);
-            tables_match(&routes, id, core.routes(), core.prices())
-        });
-        scope.release(&routes);
-        ok
+/// Why a [`RunConfig`] could not be built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The topology is not biconnected; FPSS requires it.
+    NotBiconnected {
+        /// Nodes in the offending topology.
+        nodes: usize,
+    },
+    /// The cost vector's arity does not match the topology.
+    CostArityMismatch {
+        /// Topology nodes.
+        nodes: usize,
+        /// Cost vector length.
+        costs: usize,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NotBiconnected { nodes } => write!(
+                f,
+                "topology on {nodes} nodes is not biconnected; FPSS requires a biconnected graph"
+            ),
+            ConfigError::CostArityMismatch { nodes, costs } => write!(
+                f,
+                "cost vector has {costs} entries for a topology of {nodes} nodes"
+            ),
+        }
     }
 }
 
-/// Plain-data configuration of a plain-FPSS simulation instance.
+impl std::error::Error for ConfigError {}
+
+/// Plain-data configuration of one FPSS instance, under either mechanism.
 #[derive(Clone, Debug)]
-pub struct PlainConfig {
+pub struct RunConfig {
     /// The (biconnected) topology.
     pub topo: Topology,
     /// True per-node transit costs.
@@ -105,32 +119,53 @@ pub struct PlainConfig {
     /// (default [`NetModel::Ideal`]: latency-only, byte-identical to the
     /// pre-model engine).
     pub network: NetModel,
-    /// Scheduled topology dynamics (default: none).
+    /// Scheduled topology dynamics (default: none). An overlay's own
+    /// actors are subject to them like any node: a partition that
+    /// excludes the faithful bank (id `n`) from its island severs
+    /// checkpointing — the documented liveness failure mode probed by
+    /// `tests/network_models.rs`.
     pub dynamics: Dynamics,
     /// Settlement parameters (per-packet value `W`).
     pub settlement: SettlementConfig,
-    /// Event budget before a run is truncated.
-    pub max_events: u64,
+    /// Event budget of each simulator run before it is truncated; `None`
+    /// takes the mechanism's [`Overlay::DEFAULT_MAX_EVENTS`] (5M events
+    /// plain, 10M faithful). A plain run spends one budget on
+    /// construction, one on execution and one on each streamed event; a
+    /// one-shot faithful run spends one on its whole lifecycle.
+    pub max_events: Option<u64>,
     /// Route-cache registry the run's centralized reference check draws
     /// from. Each configuration gets a fresh scope; sweep engines thread
     /// a scope of their own so the caches die with the workload.
     pub routes: CacheScope,
-    /// Scope of the post-construction reference comparison.
+    /// Scope of the reference comparison.
     pub reference_check: ReferenceCheck,
 }
 
-impl PlainConfig {
-    /// A configuration with the default latency, settlement, event
-    /// budget, a route-cache scope of its own, and the reference check on
-    /// every node.
+impl RunConfig {
+    /// A configuration with the default latency, network, settlement and
+    /// event budget, no dynamics, a route-cache scope of its own, and the
+    /// reference check on every node.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        assert!(topo.is_biconnected(), "FPSS requires a biconnected graph");
-        assert_eq!(topo.num_nodes(), true_costs.len(), "cost arity");
-        PlainConfig {
+    /// Returns a [`ConfigError`] if the topology is not biconnected or the
+    /// cost vector's arity does not match it.
+    pub fn try_new(
+        topo: Topology,
+        true_costs: CostVector,
+        traffic: TrafficMatrix,
+    ) -> Result<Self, ConfigError> {
+        let nodes = topo.num_nodes();
+        if !topo.is_biconnected() {
+            return Err(ConfigError::NotBiconnected { nodes });
+        }
+        if true_costs.len() != nodes {
+            return Err(ConfigError::CostArityMismatch {
+                nodes,
+                costs: true_costs.len(),
+            });
+        }
+        Ok(RunConfig {
             topo,
             true_costs,
             traffic,
@@ -138,98 +173,332 @@ impl PlainConfig {
             network: NetModel::DEFAULT,
             dynamics: Dynamics::new(),
             settlement: SettlementConfig::default(),
-            max_events: 5_000_000,
+            max_events: None,
             routes: CacheScope::eager(),
             reference_check: ReferenceCheck::Full,
+        })
+    }
+
+    /// [`RunConfig::try_new`], panicking on an invalid instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is not biconnected or arities mismatch.
+    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
+        Self::try_new(topo, true_costs, traffic).unwrap_or_else(|e| panic!("invalid run: {e}"))
+    }
+}
+
+/// Result of one run, under either mechanism.
+///
+/// The public fields are directly comparable across mechanisms — that is
+/// what plain-vs-faithful contrasts rely on. What only enforcement can
+/// produce is read through accessors that give a plain run its natural
+/// values: green-lighted, never halted, no restarts, no penalties.
+#[derive(Clone, Debug)]
+pub struct RunReport {
+    /// Realized utility per topology node.
+    pub utilities: Vec<Money>,
+    /// Whether anything flagged the run. For the faithful mechanism this
+    /// is real enforcement (restarts, halt, penalties, MAC failures); for
+    /// plain FPSS it means the converged tables visibly diverged from the
+    /// centralized reference (observable, but nobody acts on it — the
+    /// paper's point).
+    pub detected: bool,
+    /// Simulator traffic statistics for the whole lifecycle.
+    pub stats: NetStats,
+    /// Virtual time at which the run settled — the basis for detection-
+    /// latency comparisons across network models.
+    pub final_time: SimTime,
+    /// Whether the event budget truncated any of the run's simulator runs.
+    pub truncated: bool,
+    green_lighted: bool,
+    halted: bool,
+    restarts: u32,
+    penalties: Vec<Money>,
+    tables_match_centralized: Option<bool>,
+}
+
+impl RunReport {
+    /// Whether execution was reached: the bank's green light for faithful
+    /// runs, always `true` for plain runs (plain FPSS has no gate).
+    pub fn green_lighted(&self) -> bool {
+        self.green_lighted
+    }
+
+    /// Whether the mechanism halted. Always `false` for plain runs.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
+    /// Construction restarts. Always `0` for plain runs.
+    pub fn restarts(&self) -> u32 {
+        self.restarts
+    }
+
+    /// Penalties charged per node. Empty for plain runs (plain FPSS never
+    /// charges penalties).
+    pub fn penalties(&self) -> &[Money] {
+        &self.penalties
+    }
+
+    /// Whether converged tables matched the centralized reference:
+    /// `Some(_)` for plain runs and for faithful runs that green-lighted;
+    /// `None` for faithful runs that halted before certifying any tables
+    /// (where the bank's hash checkpoints already flagged the run).
+    pub fn tables_match_centralized(&self) -> Option<bool> {
+        self.tables_match_centralized
+    }
+
+    /// Total messages delivered.
+    pub fn delivered(&self) -> u64 {
+        self.stats.msgs_delivered
+    }
+
+    /// Messages lost to the network model or dynamics (loss, downed
+    /// nodes, partitions). Zero under [`NetModel::Ideal`] with no
+    /// dynamics.
+    pub fn dropped(&self) -> u64 {
+        self.stats.msgs_dropped
+    }
+
+    /// In-flight deliveries re-scheduled by a throughput model reacting
+    /// to load changes (`SharedThroughput` only).
+    pub fn rescheduled(&self) -> u64 {
+        self.stats.deliveries_rescheduled
+    }
+
+    /// High-water mark of simultaneous in-flight work in the simulator's
+    /// event queue.
+    pub fn max_queue_depth(&self) -> u64 {
+        self.stats.max_queue_depth
+    }
+}
+
+/// What a mechanism's settlement decided about an executed run; the
+/// lifecycle adds the transport record and the reference verdict to make
+/// it a [`RunReport`], whose accessors document each field.
+#[derive(Clone, Debug)]
+pub struct Verdict {
+    /// Realized utility per topology node.
+    pub utilities: Vec<Money>,
+    /// Whether anything flagged the run.
+    pub detected: bool,
+    /// Whether execution was reached.
+    pub green_lighted: bool,
+    /// Whether the mechanism halted.
+    pub halted: bool,
+    /// Construction restarts.
+    pub restarts: u32,
+    /// Penalties charged per node; empty when the mechanism charges none.
+    pub penalties: Vec<Money>,
+}
+
+/// An actor that hosts one topology node's FPSS engine: what the
+/// lifecycle reads and drives on a node.
+pub trait FpssActor: Actor {
+    /// The node's construction core (tables, DATA1, view).
+    fn core(&self) -> &FpssCore;
+    /// The cost the node declared (after its strategy), once started.
+    fn declared_cost(&self) -> Option<Cost>;
+    /// Queues a streaming management command, drained on a
+    /// [`TAG_STREAM`] timer.
+    fn queue_stream_command(&mut self, cmd: StreamCommand);
+    /// Queues traffic to originate when execution begins.
+    fn add_traffic(&mut self, dst: NodeId, packets: u64);
+}
+
+impl FpssActor for PlainFpssNode {
+    fn core(&self) -> &FpssCore {
+        PlainFpssNode::core(self)
+    }
+    fn declared_cost(&self) -> Option<Cost> {
+        PlainFpssNode::declared_cost(self)
+    }
+    fn queue_stream_command(&mut self, cmd: StreamCommand) {
+        PlainFpssNode::queue_stream_command(self, cmd);
+    }
+    fn add_traffic(&mut self, dst: NodeId, packets: u64) {
+        PlainFpssNode::add_traffic(self, dst, packets);
+    }
+}
+
+/// What a mechanism adds to the plain FPSS run lifecycle.
+///
+/// [`RunState`] writes the lifecycle once: per-event bookkeeping, cost
+/// events, churn, latency overrides, queueing traffic, the reference
+/// check. An overlay supplies only what differs between mechanisms, as
+/// the hooks below; their defaults are the bare lifecycle, [`Plain`]'s.
+/// Topology node `i` is always actor `i`; an overlay may append actors of
+/// its own after them.
+pub trait Overlay: Sized {
+    /// The simulator actor type.
+    type Actor: FpssActor;
+
+    /// The event budget of each simulator run when
+    /// [`RunConfig::max_events`] is `None`.
+    const DEFAULT_MAX_EVENTS: u64;
+
+    /// The shape of a one-shot run. `true`: traffic is queued up front
+    /// and the overlay starts execution itself, so the whole lifecycle is
+    /// one simulator run and one event budget. `false` (the default):
+    /// construction converges and is checked in one simulator run,
+    /// execution runs in a second.
+    const SINGLE_RUN: bool = false;
+
+    /// Whether streamed churn ([`TopologyEvent::NodeDown`] /
+    /// [`TopologyEvent::NodeUp`]) is applied (the default). Without it,
+    /// churn and partitions report [`EventStatus::LivenessHole`].
+    const STREAMS_CHURN: bool = true;
+
+    /// Builds the actors and who may send to whom. `hold` is set for a
+    /// checkpointed run: the overlay must not start execution on its own.
+    fn assemble(
+        &self,
+        config: &RunConfig,
+        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+        hold: bool,
+    ) -> (Vec<Self::Actor>, Connectivity);
+
+    /// Runs before a streamed cost event is applied; `false` rejects it
+    /// ([`EventStatus::RejectedHalted`]). Admits every event by default.
+    fn admit_cost_event(&self, _: &mut Network<Self::Actor, Latency>, _: &RunConfig) -> bool {
+        true
+    }
+
+    /// The overlay's own certification of the current fixed point, or
+    /// `None` (the default) when it has none: then the lifecycle checks
+    /// the tables against the centralized reference after construction
+    /// and after each applied event, while every node is live.
+    fn certified(&self, _: &Network<Self::Actor, Latency>, _: &RunConfig) -> Option<bool> {
+        None
+    }
+
+    /// Starts the execution phase of a converged network whose traffic is
+    /// queued; by default, all sources at once.
+    fn start_execution(&self, net: &mut Network<Self::Actor, Latency>, config: &RunConfig) {
+        let sources: BTreeSet<NodeId> = config.traffic.flows().iter().map(|f| f.src).collect();
+        for src in sources {
+            net.schedule_timer(src, SimDuration::ZERO, TAG_BEGIN_EXECUTION);
+        }
+    }
+
+    /// Settles an executed run. `checked` is the centralized reference
+    /// verdict: every check so far when the overlay certifies nothing,
+    /// one check at finish of certified tables, `None` when nothing was
+    /// certified.
+    fn settle(
+        &self,
+        net: &mut Network<Self::Actor, Latency>,
+        config: &RunConfig,
+        checked: Option<bool>,
+    ) -> Verdict;
+}
+
+/// Plain FPSS: the bare lifecycle, with no overlay.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Plain;
+
+impl Overlay for Plain {
+    type Actor = PlainFpssNode;
+    const DEFAULT_MAX_EVENTS: u64 = 5_000_000;
+
+    fn assemble(
+        &self,
+        config: &RunConfig,
+        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+        _hold: bool,
+    ) -> (Vec<PlainFpssNode>, Connectivity) {
+        (
+            fpss_nodes(&config.topo, &config.true_costs, strategies),
+            Connectivity::from_topology(&config.topo),
+        )
+    }
+
+    /// Payments flow exactly as payers report them ([`settle_plain`]);
+    /// tables that diverge from the reference are all a run can show.
+    fn settle(
+        &self,
+        net: &mut Network<PlainFpssNode, Latency>,
+        config: &RunConfig,
+        checked: Option<bool>,
+    ) -> Verdict {
+        let summaries: Vec<_> = config
+            .topo
+            .nodes()
+            .map(|id| net.node_mut(id).execution_summary())
+            .collect();
+        Verdict {
+            utilities: settle_plain(&summaries, &config.settlement),
+            detected: checked == Some(false),
+            green_lighted: true,
+            halted: false,
+            restarts: 0,
+            penalties: Vec::new(),
         }
     }
 }
 
-/// Result of one plain-FPSS run.
-#[derive(Clone, Debug)]
-pub struct PlainRunResult {
-    /// Realized utility per node.
-    pub utilities: Vec<Money>,
-    /// Whether every node's converged tables equal the centralized
-    /// reference under the *declared* costs. Expected `true` for faithful
-    /// runs; deviant runs may corrupt tables by design.
-    pub tables_match_centralized: bool,
-    /// Network traffic statistics (construction + execution).
-    pub stats: NetStats,
-    /// Virtual time at which the run settled (construction + execution).
-    pub final_time: SimTime,
-    /// Whether either run phase hit the event budget.
-    pub truncated: bool,
-}
-
-/// Runs plain FPSS with every node faithful.
-pub fn run_plain_faithful(config: &PlainConfig, seed: u64) -> PlainRunResult {
-    run_plain(config, |_| Box::new(Faithful), seed)
-}
-
-/// Runs plain FPSS with `deviant` playing `strategy` and everyone else
-/// faithful.
-pub fn run_plain_with_deviant(
-    config: &PlainConfig,
-    deviant: NodeId,
-    strategy: Box<dyn RationalStrategy>,
-    seed: u64,
-) -> PlainRunResult {
-    let mut strategy = Some(strategy);
-    run_plain(
-        config,
-        move |node| {
-            if node == deviant {
-                strategy.take().expect("deviant strategy used once")
-            } else {
-                Box::new(Faithful)
-            }
-        },
-        seed,
-    )
-}
-
-/// Runs plain FPSS with an arbitrary per-node strategy assignment: the
-/// whole lifecycle (cost flood, distributed routing + pricing, execution,
-/// reported settlement) in one simulator run.
+/// Runs one whole lifecycle (construction, verification, execution,
+/// settlement) with an arbitrary per-node strategy assignment.
 ///
-/// The post-run comparison against the centralized VCG reference draws
-/// every route from the config's [`CacheScope`] (`config.routes`) for the
+/// The comparison against the centralized VCG reference draws every
+/// route from the config's [`CacheScope`] (`config.routes`) for the
 /// declared cost vector. The true-cost cache is pinned, so repeated runs
 /// over the true declarations — every non-misreporting cell of a
 /// deviation sweep sharing one scope — share one set of Dijkstra trees,
 /// and a misreport's cache is repaired from it and released after the
 /// check.
-pub fn run_plain(
-    config: &PlainConfig,
+pub fn run<O: Overlay>(
+    config: &RunConfig,
+    overlay: O,
     strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
     seed: u64,
-) -> PlainRunResult {
-    run_plain_impl(config, strategies, seed, true)
+) -> RunReport {
+    run_checked(config, overlay, strategies, seed, Reference::Once)
 }
 
-/// [`run_plain`] with the pre-`RouteCache` per-pair-query reference check.
-/// Retained **only** so the sweep regression benchmark can measure the
-/// uncached baseline; never call this from product code.
+/// The plain [`run`] with the pre-`RouteCache` per-pair-query reference
+/// check. Retained **only** so the sweep regression benchmark can measure
+/// the uncached baseline; never call this from product code.
 #[doc(hidden)]
 pub fn run_plain_uncached(
-    config: &PlainConfig,
+    config: &RunConfig,
     strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
     seed: u64,
-) -> PlainRunResult {
-    run_plain_impl(config, strategies, seed, false)
+) -> RunReport {
+    run_checked(config, Plain, strategies, seed, Reference::Uncached)
 }
 
-fn run_plain_impl(
-    config: &PlainConfig,
+fn run_checked<O: Overlay>(
+    config: &RunConfig,
+    overlay: O,
     strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
     seed: u64,
-    cached_reference: bool,
-) -> PlainRunResult {
-    PlainRunState::checkpoint_impl(config, strategies, seed, cached_reference, false).finish()
+    reference: Reference,
+) -> RunReport {
+    let mut state = RunState::launch(config, overlay, strategies, seed, false);
+    if O::SINGLE_RUN {
+        state.settle()
+    } else {
+        state.verify(reference);
+        state.finish()
+    }
 }
 
-/// How a streamed [`TopologyEvent`] was handled by [`PlainRunState::apply_event`].
+/// How a reference check draws its routes.
+#[derive(Clone, Copy)]
+enum Reference {
+    /// Pin the declared-cost cache and keep it as the seeding donor of the
+    /// next streamed event, releasing the previous one.
+    Pinned,
+    /// Pin only the true-cost cache; release after the check.
+    Once,
+    /// Per-pair queries, no cache ([`run_plain_uncached`]).
+    Uncached,
+}
+
+/// How a streamed [`TopologyEvent`] was handled by [`RunState::apply_event`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventStatus {
     /// The event changed protocol state and the network re-converged.
@@ -240,51 +509,69 @@ pub enum EventStatus {
     /// Rejected: the node is unknown, already down (for `NodeDown` /
     /// `NodeCost`), or not down (for `NodeUp`).
     RejectedDown,
+    /// Rejected: the overlay refused the cost event (the faithful bank has
+    /// halted, so nothing can be recertified).
+    RejectedHalted,
     /// Rejected: applying the churn event would leave the live subgraph
     /// non-biconnected, violating the FPSS topology assumption (§2).
     RejectedNotBiconnected,
     /// [`TopologyEvent::Partition`] / [`TopologyEvent::Heal`]: not
     /// meaningful for a converged fixed point; ignored.
     Unsupported,
+    /// Churn and partition events under an overlay that cannot stream
+    /// them ([`Overlay::STREAMS_CHURN`]). The faithful bank's
+    /// checkpointing requires every node to answer signed hash requests,
+    /// so a node leaving — or any partition separating the bank from part
+    /// of the network — stalls certification forever rather than failing
+    /// it (§4.2 assumes a reliable network; the paper has no churn story).
+    /// Refused and reported, never streamed; `tests/network_models.rs`
+    /// probes the same hole at the transport level.
+    LivenessHole,
 }
 
-/// Per-event convergence report from [`PlainRunState::apply_event`].
+/// Per-event convergence report from [`RunState::apply_event`].
 #[derive(Clone, Copy, Debug)]
 pub struct EventOutcome {
     /// How the event was handled.
     pub status: EventStatus,
-    /// Messages delivered while re-converging from the previous fixed point.
+    /// Messages delivered while re-converging from the previous fixed
+    /// point (the protocol flood, table announcements and, under the
+    /// faithful mechanism, the bank's hash round).
     pub messages: u64,
     /// Virtual time the re-convergence took.
     pub micros: u64,
     /// `micros` expressed in whole message rounds when the latency model is
     /// fixed (`micros / per_hop`); `None` under jittered latency.
     pub rounds: Option<u64>,
-    /// Outcome of the centralized reference re-check: `Some(ok)` when the
-    /// event applied with every node live, `None` otherwise (the
-    /// [`RouteCache`] reference assumes the full topology).
-    pub reference_ok: Option<bool>,
+    /// Whether the new fixed point re-verified, `Some` only when the event
+    /// applied: the overlay's certification (the faithful bank's
+    /// principal, announced and recomputed-mirror hashes all agree
+    /// again), or else the centralized reference check. `None` too while
+    /// nodes are down: the [`RouteCache`] reference assumes the full
+    /// topology.
+    pub verified: Option<bool>,
     /// Whether the event budget truncated this re-convergence.
     pub truncated: bool,
 }
 
-/// A plain-FPSS run suspended at a converged fixed point.
+/// A run suspended at its converged fixed point.
 ///
-/// [`run_plain`] is one-shot: construct, converge, verify, execute, settle.
-/// `PlainRunState` splits that pipeline so the converged fixed point becomes
-/// a first-class value: [`PlainRunState::checkpoint`] runs construction and
-/// the reference check, then the state can absorb a stream of
-/// [`TopologyEvent`]s via [`apply_event`](PlainRunState::apply_event) —
+/// [`run`] is one-shot: construct, converge, verify, execute, settle.
+/// `RunState` splits that pipeline so the converged fixed point becomes a
+/// first-class value: [`RunState::checkpoint`] runs construction and its
+/// verification, then the state can absorb a stream of
+/// [`TopologyEvent`]s via [`apply_event`](RunState::apply_event) —
 /// re-converging *incrementally* from the previous fixed point instead of
-/// rebuilding from scratch — and finally [`finish`](PlainRunState::finish)
-/// runs the execution phase and settlement exactly as the one-shot engine
+/// rebuilding from scratch — and finally [`finish`](RunState::finish)
+/// runs the execution phase and settlement exactly as the one-shot run
 /// would.
 ///
 /// Incrementality has two layers:
 ///
 /// * **In-network**: a [`TopologyEvent::NodeCost`] floods a 20-byte
-///   `CostUpdate` and each node recomputes only the destinations the origin's
-///   cost can influence ([`FpssCore::dsts_affected_by_cost`]); churn events
+///   `CostUpdate` and each node (and, under the faithful mechanism, each
+///   checker mirror) recomputes only the destinations the origin's cost
+///   can influence ([`FpssCore::dsts_affected_by_cost`]); churn events
 ///   purge or resync exactly the state the leaving/returning node touches.
 /// * **In the reference check**: the centralized [`RouteCache`] for the
 ///   post-event cost vector is seeded from the pinned previous fixed point
@@ -296,11 +583,18 @@ pub struct EventOutcome {
 ///   hold one cache generation (plus the older plain trees its shared avoid
 ///   trees sit on), not an unbounded seeded-from chain.
 ///
+/// Under the faithful mechanism the bank certifies instead: the
+/// checkpoint parks it at certification (it certifies, but holds the
+/// green light), each cost event runs a full recertification round, and
+/// the centralized check runs once, at finish. Churn is not streamable
+/// there: see [`EventStatus::LivenessHole`].
+///
 /// [`FpssCore::dsts_affected_by_cost`]: crate::node::FpssCore::dsts_affected_by_cost
 /// [`CacheScope::pin`]: specfaith_graph::cache::CacheScope::pin
-pub struct PlainRunState {
-    config: PlainConfig,
-    net: Network<PlainFpssNode, Latency>,
+pub struct RunState<O: Overlay> {
+    config: RunConfig,
+    overlay: O,
+    net: Network<O::Actor, Latency>,
     declared: CostVector,
     down: BTreeSet<NodeId>,
     tables_match_centralized: bool,
@@ -308,106 +602,58 @@ pub struct PlainRunState {
     pinned_reference: Option<Arc<RouteCache>>,
 }
 
-impl PlainRunState {
-    /// Runs the construction phase to convergence, verifies the fixed point
-    /// against the centralized reference, and pins that reference so the
-    /// first streamed event can seed from it.
+impl<O: Overlay> RunState<O> {
+    /// Runs the construction phase to convergence and verifies the fixed
+    /// point — against the centralized reference, whose cache stays pinned
+    /// so the first streamed event can seed from it, or by the overlay's
+    /// own certification.
     ///
-    /// `checkpoint(c, s, seed).finish()` produces a byte-identical
-    /// [`PlainRunResult`] to `run_plain(c, s, seed)`.
+    /// `checkpoint(c, o, s, seed).finish()` reports exactly what
+    /// `run(c, o, s, seed)` does.
     pub fn checkpoint(
-        config: &PlainConfig,
+        config: &RunConfig,
+        overlay: O,
         strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
         seed: u64,
-    ) -> PlainRunState {
-        Self::checkpoint_impl(config, strategies, seed, true, true)
+    ) -> Self {
+        let mut state = Self::launch(config, overlay, strategies, seed, true);
+        state.verify(Reference::Pinned);
+        state
     }
 
-    fn checkpoint_impl(
-        config: &PlainConfig,
-        mut strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+    /// Builds the network and runs it to quiescence once: construction,
+    /// or, for a one-shot run of a [`Overlay::SINGLE_RUN`] overlay with
+    /// its traffic queued up front, the whole lifecycle.
+    fn launch(
+        config: &RunConfig,
+        overlay: O,
+        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
         seed: u64,
-        cached_reference: bool,
-        pin_reference: bool,
-    ) -> PlainRunState {
-        let n = config.topo.num_nodes();
-        let max_hops = (4 * n) as u32;
-        let actors: Vec<PlainFpssNode> = config
-            .topo
-            .nodes()
-            .map(|me| {
-                PlainFpssNode::new(
-                    me,
-                    config.topo.neighbors(me).to_vec(),
-                    config.true_costs.cost(me),
-                    strategies(me),
-                    max_hops,
-                )
-            })
-            .collect();
-        let mut net = Network::new(
-            Connectivity::from_topology(&config.topo),
-            actors,
-            config.latency,
-            seed,
-        )
-        .with_network(&config.network)
-        .with_dynamics(&config.dynamics)
-        .with_max_events(config.max_events);
-
-        // Construction: flood costs, converge routing and pricing.
-        let construction = net.run();
-
-        // Compare converged tables with the centralized reference under
-        // the declared costs, for the sources the policy selects.
-        let declared: CostVector = config
+        hold: bool,
+    ) -> Self {
+        let (actors, links) = overlay.assemble(config, strategies, hold);
+        let mut net = Network::new(links, actors, config.latency, seed)
+            .with_network(&config.network)
+            .with_dynamics(&config.dynamics)
+            .with_max_events(config.max_events.unwrap_or(O::DEFAULT_MAX_EVENTS));
+        if O::SINGLE_RUN && !hold {
+            queue_traffic(&mut net, &config.traffic);
+        }
+        let outcome = net.run();
+        let declared = config
             .topo
             .nodes()
             .map(|id| net.node(id).declared_cost().expect("started"))
             .collect();
-        let check_sources = config.reference_check.sources(n);
-        let mut pinned = None;
-        let tables_match_centralized = if !cached_reference {
-            check_sources.iter().all(|&id| {
-                let core = net.node(id).core();
-                let (expected_routing, expected_pricing) =
-                    crate::pricing::expected_tables_uncached_for(&config.topo, &declared, id);
-                tables_agree(
-                    core.routes(),
-                    core.prices(),
-                    &expected_routing,
-                    &expected_pricing,
-                )
-            })
-        } else if pin_reference {
-            let routes = config.routes.pin(&config.topo, &declared);
-            let ok = check_sources.iter().all(|&id| {
-                let core = net.node(id).core();
-                tables_match(&routes, id, core.routes(), core.prices())
-            });
-            // Keep the checked (and now partially materialized) cache as
-            // the seeding donor for the first streamed event.
-            routes.detach_seed();
-            pinned = Some(routes);
-            ok
-        } else {
-            config.reference_check.check_once(
-                &config.routes,
-                &config.topo,
-                &config.true_costs,
-                &declared,
-                |id| net.node(id).core(),
-            )
-        };
-
-        PlainRunState {
+        RunState {
             config: config.clone(),
+            overlay,
             net,
             declared,
             down: BTreeSet::new(),
-            tables_match_centralized,
-            truncated: construction.truncated,
-            pinned_reference: pinned,
+            tables_match_centralized: true,
+            truncated: outcome.truncated,
+            pinned_reference: None,
         }
     }
 
@@ -419,16 +665,17 @@ impl PlainRunState {
         let was_truncated = self.truncated;
         let status = match *event {
             TopologyEvent::NodeCost { node, cost } => self.apply_node_cost(node, Cost::new(cost)),
-            TopologyEvent::NodeDown(node) => self.apply_node_down(node),
-            TopologyEvent::NodeUp(node) => self.apply_node_up(node),
             TopologyEvent::LinkCost { .. } => {
                 self.net.apply_dynamics_event(event);
                 EventStatus::LatencyOnly
             }
+            _ if !O::STREAMS_CHURN => EventStatus::LivenessHole,
+            TopologyEvent::NodeDown(node) => self.apply_node_down(node),
+            TopologyEvent::NodeUp(node) => self.apply_node_up(node),
             TopologyEvent::Partition { .. } | TopologyEvent::Heal => EventStatus::Unsupported,
         };
-        let reference_ok = if status == EventStatus::Applied && self.down.is_empty() {
-            Some(self.check_reference())
+        let verified = if status == EventStatus::Applied {
+            self.verify(Reference::Pinned)
         } else {
             None
         };
@@ -442,7 +689,7 @@ impl PlainRunState {
             messages: self.net.stats().msgs_delivered - msgs_before,
             micros,
             rounds,
-            reference_ok,
+            verified,
             truncated: self.truncated && !was_truncated,
         }
     }
@@ -451,14 +698,12 @@ impl PlainRunState {
         if node.index() >= self.config.topo.num_nodes() || self.down.contains(&node) {
             return EventStatus::RejectedDown;
         }
-        self.net
-            .node_mut(node)
-            .queue_stream_command(StreamCommand::DeclareCost(cost));
-        self.net.schedule_timer(node, SimDuration::ZERO, TAG_STREAM);
-        let outcome = self.net.run();
-        self.truncated |= outcome.truncated;
-        let declared = self.net.node(node).declared_cost().expect("started");
-        self.declared = self.declared.with_cost(node, declared);
+        if !self.overlay.admit_cost_event(&mut self.net, &self.config) {
+            return EventStatus::RejectedHalted;
+        }
+        self.command(node, StreamCommand::DeclareCost(cost));
+        self.run_net();
+        self.redeclared(node);
         EventStatus::Applied
     }
 
@@ -477,16 +722,11 @@ impl PlainRunState {
             .apply_dynamics_event(&TopologyEvent::NodeDown(node));
         self.down = down;
         for id in self.config.topo.nodes() {
-            if self.down.contains(&id) {
-                continue;
+            if !self.down.contains(&id) {
+                self.command(id, StreamCommand::PurgeNode(node));
             }
-            self.net
-                .node_mut(id)
-                .queue_stream_command(StreamCommand::PurgeNode(node));
-            self.net.schedule_timer(id, SimDuration::ZERO, TAG_STREAM);
         }
-        let outcome = self.net.run();
-        self.truncated |= outcome.truncated;
+        self.run_net();
         EventStatus::Applied
     }
 
@@ -503,82 +743,135 @@ impl PlainRunState {
         self.down = down;
         // The returning node rebuilds from scratch; its live topology
         // neighbors resync it and it floods its (re-)declared cost.
-        self.net
-            .node_mut(node)
-            .queue_stream_command(StreamCommand::Rejoin);
-        self.net.schedule_timer(node, SimDuration::ZERO, TAG_STREAM);
-        for &nb in self.config.topo.neighbors(node) {
-            if self.down.contains(&nb) {
-                continue;
+        self.command(node, StreamCommand::Rejoin);
+        for nb in self.config.topo.neighbors(node).to_vec() {
+            if !self.down.contains(&nb) {
+                self.command(nb, StreamCommand::ResyncNeighbor(node));
             }
-            self.net
-                .node_mut(nb)
-                .queue_stream_command(StreamCommand::ResyncNeighbor(node));
-            self.net.schedule_timer(nb, SimDuration::ZERO, TAG_STREAM);
         }
-        let outcome = self.net.run();
-        self.truncated |= outcome.truncated;
-        let declared = self.net.node(node).declared_cost().expect("started");
-        self.declared = self.declared.with_cost(node, declared);
+        self.run_net();
+        self.redeclared(node);
         EventStatus::Applied
     }
 
-    /// Re-verifies the current fixed point against the centralized reference
-    /// and rolls the seeding pin forward to the fresh cache.
-    fn check_reference(&mut self) -> bool {
-        let n = self.config.topo.num_nodes();
-        // Pin first: under a one-node cost delta this seeds tree repair from
-        // the previously pinned fixed point instead of fresh Dijkstras.
-        let routes = self.config.routes.pin(&self.config.topo, &self.declared);
-        let check_sources = self.config.reference_check.sources(n);
-        let ok = check_sources.iter().all(|&id| {
-            let core = self.net.node(id).core();
-            tables_match(&routes, id, core.routes(), core.prices())
-        });
-        // The check above materialized every tree it needed; drop the donor
-        // link so the stream holds one cache generation, not a chain.
-        routes.detach_seed();
-        if let Some(prev) = self.pinned_reference.take() {
-            if !Arc::ptr_eq(&prev, &routes) {
-                self.config.routes.unpin(&prev);
-                self.config.routes.release(&prev);
+    /// Queues `cmd` on `node` and schedules the timer that drains it.
+    fn command(&mut self, node: NodeId, cmd: StreamCommand) {
+        self.net.node_mut(node).queue_stream_command(cmd);
+        self.net.schedule_timer(node, SimDuration::ZERO, TAG_STREAM);
+    }
+
+    /// Records `node`'s current declaration.
+    fn redeclared(&mut self, node: NodeId) {
+        let declared = self.net.node(node).declared_cost().expect("started");
+        self.declared = self.declared.with_cost(node, declared);
+    }
+
+    /// Runs the network to quiescence, accumulating truncation.
+    fn run_net(&mut self) {
+        self.truncated |= self.net.run().truncated;
+    }
+
+    /// Verifies the current fixed point: by the overlay's certification,
+    /// or against the centralized reference while every node is live.
+    fn verify(&mut self, reference: Reference) -> Option<bool> {
+        match self.overlay.certified(&self.net, &self.config) {
+            Some(certified) => Some(certified),
+            None if self.down.is_empty() => {
+                let ok = self.check_reference(reference);
+                self.tables_match_centralized &= ok;
+                Some(ok)
+            }
+            None => None,
+        }
+    }
+
+    /// Compares the converged tables of the policy's sources against the
+    /// centralized reference under the declared costs.
+    fn check_reference(&mut self, reference: Reference) -> bool {
+        let RunState {
+            config,
+            net,
+            declared,
+            pinned_reference,
+            ..
+        } = self;
+        let sources = config.reference_check.sources(config.topo.num_nodes());
+        let matches = |routes: &RouteCache| {
+            sources.iter().all(|&id| {
+                let core = net.node(id).core();
+                tables_match(routes, id, core.routes(), core.prices())
+            })
+        };
+        match reference {
+            Reference::Uncached => sources.iter().all(|&id| {
+                let core = net.node(id).core();
+                let (routing, pricing) = expected_tables_uncached_for(&config.topo, declared, id);
+                tables_agree(core.routes(), core.prices(), &routing, &pricing)
+            }),
+            Reference::Once => {
+                // Pinned when the declarations are the true costs, so
+                // repeated runs share the cache and misreport runs repair
+                // theirs from it; released after the check, which drops a
+                // misreport's single-use cache and keeps the pinned one.
+                let routes = if declared == &config.true_costs {
+                    config.routes.pin(&config.topo, declared)
+                } else {
+                    config.routes.cache(&config.topo, declared)
+                };
+                let ok = matches(&routes);
+                config.routes.release(&routes);
+                ok
+            }
+            Reference::Pinned => {
+                // Pin first: under a one-node cost delta this seeds tree
+                // repair from the previously pinned fixed point instead of
+                // fresh Dijkstras.
+                let routes = config.routes.pin(&config.topo, declared);
+                let ok = matches(&routes);
+                // The check above materialized every tree it needed; drop
+                // the donor link so the stream holds one cache generation,
+                // not a chain.
+                routes.detach_seed();
+                if let Some(prev) = pinned_reference.take() {
+                    if !Arc::ptr_eq(&prev, &routes) {
+                        config.routes.unpin(&prev);
+                        config.routes.release(&prev);
+                    }
+                }
+                *pinned_reference = Some(routes);
+                ok
             }
         }
-        self.pinned_reference = Some(routes);
-        self.tables_match_centralized &= ok;
-        ok
     }
 
     /// Runs the execution phase and settlement on the current fixed point,
-    /// consuming the state. Identical to the tail of [`run_plain`].
-    pub fn finish(mut self) -> PlainRunResult {
-        // Execution: queue traffic, start all sources at once.
-        for flow in self.config.traffic.flows() {
-            self.net
-                .node_mut(flow.src)
-                .add_traffic(flow.dst, flow.packets);
-        }
-        let sources: BTreeSet<NodeId> = self.config.traffic.flows().iter().map(|f| f.src).collect();
-        for src in sources {
-            self.net
-                .schedule_timer(src, SimDuration::ZERO, TAG_BEGIN_EXECUTION);
-        }
-        let execution = self.net.run();
+    /// consuming the state: exactly the tail of a one-shot [`run`].
+    pub fn finish(mut self) -> RunReport {
+        queue_traffic(&mut self.net, &self.config.traffic);
+        self.overlay.start_execution(&mut self.net, &self.config);
+        self.run_net();
+        self.settle()
+    }
 
-        let summaries: Vec<_> = self
-            .config
-            .topo
-            .nodes()
-            .map(|id| self.net.node_mut(id).execution_summary())
-            .collect();
-        let utilities = settle_plain(&summaries, &self.config.settlement);
-
-        PlainRunResult {
-            utilities,
-            tables_match_centralized: self.tables_match_centralized,
+    /// Settles an executed run into its report.
+    fn settle(mut self) -> RunReport {
+        let checked = match self.overlay.certified(&self.net, &self.config) {
+            None => Some(self.tables_match_centralized),
+            Some(true) => Some(self.check_reference(Reference::Once)),
+            Some(false) => None,
+        };
+        let verdict = self.overlay.settle(&mut self.net, &self.config, checked);
+        RunReport {
+            utilities: verdict.utilities,
+            detected: verdict.detected,
             stats: self.net.stats().clone(),
-            final_time: execution.final_time,
-            truncated: self.truncated || execution.truncated,
+            final_time: self.net.now(),
+            truncated: self.truncated,
+            green_lighted: verdict.green_lighted,
+            halted: verdict.halted,
+            restarts: verdict.restarts,
+            penalties: verdict.penalties,
+            tables_match_centralized: checked,
         }
     }
 
@@ -604,9 +897,16 @@ impl PlainRunState {
         &self.down
     }
 
-    /// Whether every reference check so far (checkpoint and per-event) passed.
+    /// Whether every centralized reference check so far (checkpoint and
+    /// per-event) passed; vacuously `true` under an overlay that certifies
+    /// the fixed point itself.
     pub fn tables_match_centralized(&self) -> bool {
         self.tables_match_centralized
+    }
+
+    /// The live network, for inspecting actors between events.
+    pub fn network(&self) -> &Network<O::Actor, Latency> {
+        &self.net
     }
 
     /// Cumulative transport statistics across construction and all events.
@@ -615,12 +915,12 @@ impl PlainRunState {
     }
 
     /// The configuration this state was checkpointed from.
-    pub fn config(&self) -> &PlainConfig {
+    pub fn config(&self) -> &RunConfig {
         &self.config
     }
 }
 
-impl Drop for PlainRunState {
+impl<O: Overlay> Drop for RunState<O> {
     fn drop(&mut self) {
         if let Some(prev) = self.pinned_reference.take() {
             self.config.routes.unpin(&prev);
@@ -629,42 +929,54 @@ impl Drop for PlainRunState {
     }
 }
 
+/// Queues every flow's packets at its source.
+fn queue_traffic<A: FpssActor>(net: &mut Network<A, Latency>, traffic: &TrafficMatrix) {
+    for flow in traffic.flows() {
+        net.node_mut(flow.src).add_traffic(flow.dst, flow.packets);
+    }
+}
+
+/// One plain FPSS node per topology node, each with the strategy
+/// `strategies` assigns it.
+fn fpss_nodes(
+    topo: &Topology,
+    costs: &CostVector,
+    mut strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+) -> Vec<PlainFpssNode> {
+    let max_hops = (4 * topo.num_nodes()) as u32;
+    topo.nodes()
+        .map(|me| {
+            PlainFpssNode::new(
+                me,
+                topo.neighbors(me).to_vec(),
+                costs.cost(me),
+                strategies(me),
+                max_hops,
+            )
+        })
+        .collect()
+}
+
 /// Whether the subgraph induced by the live (non-`down`) nodes of `topo` is
 /// biconnected.
 ///
 /// [`Topology::is_biconnected`] judges the whole vertex set, so any topology
 /// with an offline (isolated) node trivially fails it; streamed churn needs
-/// the check restricted to live nodes. O(live · edges) — churn events are
-/// validated one at a time, never on a hot path.
+/// the check restricted to live nodes, so it runs on the live subgraph,
+/// renumbered. Churn events are validated one at a time, never on a hot path.
 fn live_biconnected(topo: &Topology, down: &BTreeSet<NodeId>) -> bool {
-    let live = topo.num_nodes() - down.len();
-    if live < 3 {
+    let live: Vec<NodeId> = topo.nodes().filter(|id| !down.contains(id)).collect();
+    if live.len() < 3 {
         return false;
     }
-    let connected_without = |cut: Option<NodeId>| -> bool {
-        let excluded = |id: NodeId| down.contains(&id) || cut == Some(id);
-        let Some(start) = topo.nodes().find(|&id| !excluded(id)) else {
-            return false;
-        };
-        let mut seen = BTreeSet::new();
-        seen.insert(start);
-        let mut stack = vec![start];
-        while let Some(at) = stack.pop() {
-            for &nb in topo.neighbors(at) {
-                if !excluded(nb) && seen.insert(nb) {
-                    stack.push(nb);
-                }
-            }
+    let index = |id: NodeId| live.binary_search(&id).ok().map(|i| i as u32);
+    let mut induced = Topology::builder(live.len());
+    for &(a, b) in topo.edges() {
+        if let (Some(a), Some(b)) = (index(a), index(b)) {
+            induced = induced.edge(a, b);
         }
-        topo.nodes()
-            .filter(|&id| !excluded(id))
-            .all(|id| seen.contains(&id))
-    };
-    connected_without(None)
-        && topo
-            .nodes()
-            .filter(|id| !down.contains(id))
-            .all(|cut| connected_without(Some(cut)))
+    }
+    induced.build().is_biconnected()
 }
 
 /// Cold-run oracle for streaming equivalence: builds a fresh all-faithful
@@ -682,20 +994,7 @@ pub fn converged_table_digests(
     latency: Latency,
     seed: u64,
 ) -> Vec<(Digest, Digest, Digest)> {
-    let n = topo.num_nodes();
-    let max_hops = (4 * n) as u32;
-    let actors: Vec<PlainFpssNode> = topo
-        .nodes()
-        .map(|me| {
-            PlainFpssNode::new(
-                me,
-                topo.neighbors(me).to_vec(),
-                costs.cost(me),
-                Box::new(Faithful),
-                max_hops,
-            )
-        })
-        .collect();
+    let actors = fpss_nodes(topo, costs, |_| Box::new(Faithful));
     let mut net = Network::new(Connectivity::from_topology(topo), actors, latency, seed);
     let outcome = net.run();
     assert!(!outcome.truncated, "cold oracle run truncated");
@@ -712,7 +1011,26 @@ mod tests {
     };
     use specfaith_graph::generators::figure1;
 
-    fn figure1_config() -> (specfaith_graph::generators::Figure1, PlainConfig) {
+    fn honest(_: NodeId) -> Box<dyn RationalStrategy> {
+        Box::new(Faithful)
+    }
+
+    /// `strategy` at `at`, every other node faithful.
+    fn deviant(
+        at: NodeId,
+        strategy: Box<dyn RationalStrategy>,
+    ) -> impl FnMut(NodeId) -> Box<dyn RationalStrategy> {
+        let mut strategy = Some(strategy);
+        move |node| {
+            if node == at {
+                strategy.take().expect("deviant strategy used once")
+            } else {
+                Box::new(Faithful)
+            }
+        }
+    }
+
+    fn figure1_config() -> (specfaith_graph::generators::Figure1, RunConfig) {
         let net = figure1();
         let traffic = TrafficMatrix::from_flows(vec![
             crate::traffic::Flow {
@@ -726,22 +1044,22 @@ mod tests {
                 packets: 5,
             },
         ]);
-        let config = PlainConfig::new(net.topology.clone(), net.costs.clone(), traffic);
+        let config = RunConfig::new(net.topology.clone(), net.costs.clone(), traffic);
         (net, config)
     }
 
     #[test]
     fn faithful_run_converges_to_centralized_tables() {
         let (_, config) = figure1_config();
-        let result = run_plain_faithful(&config, 3);
-        assert!(result.tables_match_centralized);
+        let result = run(&config, Plain, honest, 3);
+        assert_eq!(result.tables_match_centralized(), Some(true));
         assert!(!result.truncated);
     }
 
     #[test]
     fn faithful_utilities_balance_payments() {
         let (net, config) = figure1_config();
-        let result = run_plain_faithful(&config, 3);
+        let result = run(&config, Plain, honest, 3);
         // C transits both flows (X→Z and D→Z): it is paid above true cost.
         assert!(
             result.utilities[net.c.index()] > Money::ZERO,
@@ -756,10 +1074,14 @@ mod tests {
     fn misreporting_cost_is_unprofitable_even_in_plain_fpss() {
         // FPSS's own contribution: the VCG pricing makes cost lies useless.
         let (net, config) = figure1_config();
-        let faithful = run_plain_faithful(&config, 3);
+        let faithful = run(&config, Plain, honest, 3);
         for delta in [2i64, 4, -1] {
-            let deviant =
-                run_plain_with_deviant(&config, net.c, Box::new(MisreportCost { delta }), 3);
+            let deviant = run(
+                &config,
+                Plain,
+                deviant(net.c, Box::new(MisreportCost { delta })),
+                3,
+            );
             assert!(
                 deviant.utilities[net.c.index()] <= faithful.utilities[net.c.index()],
                 "delta {delta}: {:?} vs faithful {:?}",
@@ -772,11 +1094,11 @@ mod tests {
     #[test]
     fn underreporting_payments_is_profitable_in_plain_fpss() {
         let (net, config) = figure1_config();
-        let faithful = run_plain_faithful(&config, 3);
-        let deviant = run_plain_with_deviant(
+        let faithful = run(&config, Plain, honest, 3);
+        let deviant = run(
             &config,
-            net.x,
-            Box::new(UnderreportPayments { keep_percent: 0 }),
+            Plain,
+            deviant(net.x, Box::new(UnderreportPayments { keep_percent: 0 })),
             3,
         );
         assert!(
@@ -788,66 +1110,19 @@ mod tests {
     #[test]
     fn dropping_transit_packets_is_profitable_in_plain_fpss() {
         let (net, config) = figure1_config();
-        let faithful = run_plain_faithful(&config, 3);
-        let deviant = run_plain_with_deviant(&config, net.c, Box::new(DropTransitPackets), 3);
+        let faithful = run(&config, Plain, honest, 3);
+        let deviant = run(
+            &config,
+            Plain,
+            deviant(net.c, Box::new(DropTransitPackets)),
+            3,
+        );
         assert!(
             deviant.utilities[net.c.index()] > faithful.utilities[net.c.index()],
             "plain FPSS pays for transit work that was never done: {:?} vs {:?}",
             deviant.utilities[net.c.index()],
             faithful.utilities[net.c.index()]
         );
-    }
-
-    use crate::deviation::{ForceFullRecompute, FullRecomputeFaithful};
-
-    #[test]
-    fn safe_deviants_take_the_incremental_path_byte_identically() {
-        // The deviant-node recompute satellite: strategies whose
-        // computation hooks are the identity declare destination-scoped
-        // safety and ride the incremental path — observationally
-        // indistinguishable (same utilities, same message counts, same
-        // reference agreement) from the same strategy forced onto the
-        // full-table recompute.
-        let (net, config) = figure1_config();
-        type StrategyFactory = Box<dyn Fn() -> Box<dyn RationalStrategy>>;
-        let cases: Vec<(StrategyFactory, &str)> = vec![
-            (
-                Box::new(|| Box::new(MisreportCost { delta: 3 })),
-                "misreport",
-            ),
-            (
-                Box::new(|| Box::new(crate::deviation::TamperCostFlood { multiplier: 7 })),
-                "tamper-flood",
-            ),
-            (
-                Box::new(|| Box::new(crate::deviation::DropCostFlood)),
-                "drop-flood",
-            ),
-            (Box::new(|| Box::new(DropTransitPackets)), "drop-packets"),
-            (
-                Box::new(|| Box::new(UnderreportPayments { keep_percent: 10 })),
-                "underreport",
-            ),
-        ];
-        for (make, label) in cases {
-            assert!(
-                make().dst_scoped_recompute_safe(),
-                "{label} must declare destination-scoped safety"
-            );
-            let fast = run_plain_with_deviant(&config, net.c, make(), 3);
-            let slow =
-                run_plain_with_deviant(&config, net.c, Box::new(ForceFullRecompute(make())), 3);
-            assert_eq!(fast.utilities, slow.utilities, "{label}");
-            assert_eq!(
-                fast.stats.total_msgs(),
-                slow.stats.total_msgs(),
-                "{label}: announcement traffic must be identical"
-            );
-            assert_eq!(
-                fast.tables_match_centralized, slow.tables_match_centralized,
-                "{label}"
-            );
-        }
     }
 
     #[test]
@@ -872,10 +1147,10 @@ mod tests {
         let (_, config) = figure1_config();
         let mut sampled = config.clone();
         sampled.reference_check = ReferenceCheck::Sampled { sources: 3 };
-        let full = run_plain_faithful(&config, 3);
-        let quick = run_plain_faithful(&sampled, 3);
-        assert!(full.tables_match_centralized);
-        assert!(quick.tables_match_centralized);
+        let full = run(&config, Plain, honest, 3);
+        let quick = run(&sampled, Plain, honest, 3);
+        assert_eq!(full.tables_match_centralized(), Some(true));
+        assert_eq!(quick.tables_match_centralized(), Some(true));
         assert_eq!(full.utilities, quick.utilities);
     }
 
@@ -900,50 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_recompute_is_byte_identical_to_full() {
-        // The destination-scoped fast path must be observationally
-        // indistinguishable from the full recompute: same converged
-        // tables, same announcements (hence same message counts), same
-        // utilities — on Figure 1 and random biconnected graphs.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use specfaith_graph::generators::random_biconnected;
-
-        let mut configs = vec![figure1_config().1];
-        for seed in 0..6u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = 6 + (seed as usize % 6);
-            let topo = random_biconnected(n, n / 2, &mut rng);
-            let costs = CostVector::random(n, 0, 15, &mut rng);
-            let traffic = TrafficMatrix::random(n, 3, 2, &mut rng);
-            configs.push(PlainConfig::new(topo, costs, traffic));
-        }
-        // Larger instances exercise the flood-time destination scoping
-        // (dsts_affected_by_cost) across longer convergence runs.
-        for seed in [100u64, 101] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let topo = specfaith_graph::generators::scale_free(24, 2, &mut rng);
-            let costs = CostVector::random(24, 1, 20, &mut rng);
-            let traffic = TrafficMatrix::random(24, 5, 2, &mut rng);
-            configs.push(PlainConfig::new(topo, costs, traffic));
-        }
-        for (i, config) in configs.iter().enumerate() {
-            let fast = run_plain_faithful(config, 3);
-            let slow = run_plain(config, |_| Box::new(FullRecomputeFaithful), 3);
-            assert_eq!(fast.utilities, slow.utilities, "config {i}");
-            assert_eq!(
-                fast.stats.total_msgs(),
-                slow.stats.total_msgs(),
-                "config {i}: announcement traffic must be identical"
-            );
-            assert_eq!(
-                fast.tables_match_centralized, slow.tables_match_centralized,
-                "config {i}"
-            );
-        }
-    }
-
-    #[test]
     fn distributed_equals_centralized_on_random_graphs() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -955,11 +1186,12 @@ mod tests {
             let topo = random_biconnected(n, n / 2, &mut rng);
             let costs = CostVector::random(n, 0, 15, &mut rng);
             let traffic = TrafficMatrix::random(n, 3, 2, &mut rng);
-            let config = PlainConfig::new(topo, costs, traffic);
-            let result = run_plain_faithful(&config, seed);
+            let config = RunConfig::new(topo, costs, traffic);
+            let result = run(&config, Plain, honest, seed);
             assert!(!result.truncated, "seed {seed} truncated");
-            assert!(
-                result.tables_match_centralized,
+            assert_eq!(
+                result.tables_match_centralized(),
+                Some(true),
                 "seed {seed}: distributed FPSS diverged from the VCG reference"
             );
         }
@@ -970,100 +1202,27 @@ mod tests {
         // C claiming fake adjacency to X (true LCP Z→X is Z-C-D-X, cost 2)
         // makes Z adopt the nonexistent route Z-C-X of apparent cost 1.
         let (net, config) = figure1_config();
-        let deviant = run_plain_with_deviant(&config, net.c, Box::new(SpoofShortRoutes), 3);
-        assert!(
-            !deviant.tables_match_centralized,
+        let deviant = run(
+            &config,
+            Plain,
+            deviant(net.c, Box::new(SpoofShortRoutes)),
+            3,
+        );
+        assert_eq!(
+            deviant.tables_match_centralized(),
+            Some(false),
             "spoofed adjacency must corrupt someone's tables"
         );
     }
 
     #[test]
-    fn checkpoint_then_finish_is_byte_identical_to_run_plain() {
-        // The tentpole pin (refactor direction): suspending at the fixed
-        // point and immediately finishing is the one-shot engine.
-        let (net, config) = figure1_config();
-        for seed in [1u64, 3, 9] {
-            let oneshot = run_plain_faithful(&config, seed);
-            let staged = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), seed).finish();
-            assert_eq!(oneshot.utilities, staged.utilities, "seed {seed}");
-            assert_eq!(
-                oneshot.stats.total_msgs(),
-                staged.stats.total_msgs(),
-                "seed {seed}"
-            );
-            assert_eq!(oneshot.final_time, staged.final_time, "seed {seed}");
-            assert_eq!(
-                oneshot.tables_match_centralized, staged.tables_match_centralized,
-                "seed {seed}"
-            );
-            assert_eq!(oneshot.truncated, staged.truncated, "seed {seed}");
-
-            let deviant_oneshot =
-                run_plain_with_deviant(&config, net.c, Box::new(MisreportCost { delta: 2 }), seed);
-            let mut strategy =
-                Some(Box::new(MisreportCost { delta: 2 }) as Box<dyn RationalStrategy>);
-            let deviant_staged = PlainRunState::checkpoint(
-                &config,
-                move |node| {
-                    if node == net.c {
-                        strategy.take().expect("used once")
-                    } else {
-                        Box::new(Faithful)
-                    }
-                },
-                seed,
-            )
-            .finish();
-            assert_eq!(deviant_oneshot.utilities, deviant_staged.utilities);
-            assert_eq!(
-                deviant_oneshot.stats.total_msgs(),
-                deviant_staged.stats.total_msgs()
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_cost_events_land_on_the_cold_fixed_point() {
-        let (net, config) = figure1_config();
-        let config = PlainConfig::new(config.topo, config.true_costs, config.traffic);
-        let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
-        assert!(state.tables_match_centralized());
-        let events = [
-            TopologyEvent::NodeCost {
-                node: net.c,
-                cost: 9,
-            },
-            TopologyEvent::NodeCost {
-                node: net.d,
-                cost: 0,
-            },
-            // Re-declaring the current value still floods but changes nothing.
-            TopologyEvent::NodeCost {
-                node: net.c,
-                cost: 9,
-            },
-        ];
-        for (i, event) in events.iter().enumerate() {
-            let outcome = state.apply_event(event);
-            assert_eq!(outcome.status, EventStatus::Applied, "event {i}");
-            assert_eq!(outcome.reference_ok, Some(true), "event {i}");
-            assert!(outcome.messages > 0, "event {i}: the CostUpdate must flood");
-            assert!(!outcome.truncated, "event {i}");
-            let cold = converged_table_digests(
-                &config.topo,
-                state.declared(),
-                config.latency,
-                7 + i as u64,
-            );
-            assert_eq!(
-                state.table_digests(),
-                cold,
-                "event {i}: streamed fixed point diverged from a cold run"
-            );
-        }
-        let result = state.finish();
-        assert!(result.tables_match_centralized);
-        assert!(!result.truncated);
+    #[should_panic(expected = "not biconnected")]
+    fn run_config_new_panics_on_a_non_biconnected_topology() {
+        let _ = RunConfig::new(
+            specfaith_graph::generators::star(4),
+            CostVector::uniform(4, 1),
+            TrafficMatrix::new(),
+        );
     }
 
     #[test]
@@ -1077,8 +1236,8 @@ mod tests {
             dst: NodeId::from_index(5),
             packets: 2,
         }]);
-        let config = PlainConfig::new(topo.clone(), costs, traffic);
-        let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
+        let config = RunConfig::new(topo.clone(), costs, traffic);
+        let mut state = RunState::checkpoint(&config, Plain, honest, 3);
         let baseline = state.table_digests();
 
         let gone = NodeId::from_index(2);
@@ -1086,7 +1245,7 @@ mod tests {
         assert_eq!(outcome.status, EventStatus::Applied);
         // No reference check while a node is down: the cache assumes the
         // full topology.
-        assert_eq!(outcome.reference_ok, None);
+        assert_eq!(outcome.verified, None);
         assert_eq!(state.down().iter().copied().collect::<Vec<_>>(), vec![gone]);
 
         // Live nodes converge to the cold fixed point of the reduced
@@ -1112,13 +1271,13 @@ mod tests {
             cost: 8,
         });
         assert_eq!(outcome.status, EventStatus::Applied);
-        assert_eq!(outcome.reference_ok, None);
+        assert_eq!(outcome.verified, None);
 
         // The node returns: resync + rejoin must land on the cold full-
         // topology fixed point, and the reference check resumes.
         let outcome = state.apply_event(&TopologyEvent::NodeUp(gone));
         assert_eq!(outcome.status, EventStatus::Applied);
-        assert_eq!(outcome.reference_ok, Some(true));
+        assert_eq!(outcome.verified, Some(true));
         assert!(state.down().is_empty());
         let cold = converged_table_digests(&topo, state.declared(), config.latency, 13);
         assert_eq!(state.table_digests(), cold);
@@ -1127,7 +1286,7 @@ mod tests {
         assert_ne!(state.table_digests(), baseline);
 
         let result = state.finish();
-        assert!(result.tables_match_centralized);
+        assert_eq!(result.tables_match_centralized(), Some(true));
     }
 
     #[test]
@@ -1142,8 +1301,8 @@ mod tests {
             dst: NodeId::from_index(2),
             packets: 1,
         }]);
-        let config = PlainConfig::new(topo, costs, traffic);
-        let mut state = PlainRunState::checkpoint(&config, |_| Box::new(Faithful), 3);
+        let config = RunConfig::new(topo, costs, traffic);
+        let mut state = RunState::checkpoint(&config, Plain, honest, 3);
         let baseline = state.table_digests();
 
         for (event, expect) in [
@@ -1172,7 +1331,7 @@ mod tests {
             let outcome = state.apply_event(&event);
             assert_eq!(outcome.status, expect, "{event:?}");
             assert_eq!(outcome.messages, 0, "{event:?}");
-            assert_eq!(outcome.reference_ok, None, "{event:?}");
+            assert_eq!(outcome.verified, None, "{event:?}");
         }
         // Latency overrides pass through to the transport without convergence.
         let outcome = state.apply_event(&TopologyEvent::LinkCost {

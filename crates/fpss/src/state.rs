@@ -530,7 +530,7 @@ impl PricingTable {
 
     /// Ablation of the paper's DATA3* extension: the hash the *original*
     /// FPSS \[DATA3\] would give — prices only, no identity tags. Exists to
-    /// demonstrate (in tests and EXPERIMENTS.md) that without tags in the
+    /// demonstrate (in `tests/tag_ablation.rs`) that without tags in the
     /// hash, a pure tag forgery passes \[BANK2\] undetected.
     pub fn digest_without_tags(&self) -> Digest {
         let mut h = TableHasher::new("fpss/data3");

@@ -2,7 +2,7 @@
 //!
 //! Protocol messages travel only along topology edges; the faithful FPSS
 //! extension additionally gives every node a direct (overlay) link to the
-//! bank — see DESIGN.md's substitution table. [`Connectivity`] captures the
+//! bank, the paper's trusted party. [`Connectivity`] captures the
 //! permitted directed links, and the simulator refuses sends outside them,
 //! so a protocol bug cannot silently teleport messages.
 

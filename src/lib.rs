@@ -21,9 +21,10 @@
 //! * [`netsim`] — the deterministic discrete-event simulator.
 //! * [`fpss`] — plain FPSS lowest-cost interdomain routing (distributed
 //!   LCP + VCG pricing), its execution phase, the deviation library, and
-//!   the plain run engine.
+//!   the run lifecycle.
 //! * [`faithful`] — the paper's faithful extension: checker nodes, the
-//!   checkpointing bank, catch-and-punish, and the faithful run engine.
+//!   checkpointing bank, catch-and-punish, as an overlay on that
+//!   lifecycle.
 //! * [`scenario`] — **the front door**: one builder for plain and
 //!   faithful runs, and parallel Theorem-1 deviation sweeps.
 //!
@@ -59,8 +60,8 @@ pub mod scenario;
 pub mod prelude {
     pub use crate::scenario::{
         run_worker, run_worker_sampled, CacheScope, Catalog, CoordAddr, CoordConfig, CoordError,
-        CoordListener, CoordOutcome, CoordStats, Coordinator, CostModel, Dynamics, FaultPlan,
-        Mechanism, MechanismOutcome, MergeError, NetModel, ReferenceCheck, RunReport, Scenario,
+        CoordListener, CoordOutcome, CoordStats, Coordinator, CostModel, Dynamics, Enforcement,
+        FaultPlan, Mechanism, MergeError, NetModel, ReferenceCheck, RunReport, Scenario,
         ScenarioBuilder, ScenarioError, ShardSpec, StreamEvent, StreamReport, StreamSession,
         StreamStatus, SweepFragment, SweepReport, TopologyEvent, TopologySource, TrafficModel,
         WorkerConfig, WorkerError, WorkerSummary,
@@ -70,10 +71,9 @@ pub mod prelude {
     pub use specfaith_core::faithfulness::FaithfulnessCertificate;
     pub use specfaith_core::id::NodeId;
     pub use specfaith_core::money::{Cost, Money};
-    pub use specfaith_faithful::harness::{FaithfulConfig, FaithfulRunResult};
     pub use specfaith_faithful::metrics::measure_overhead;
     pub use specfaith_fpss::deviation::{Faithful, RationalStrategy};
-    pub use specfaith_fpss::runner::{PlainConfig, PlainRunResult};
+    pub use specfaith_fpss::runner::RunConfig;
     pub use specfaith_fpss::traffic::{Flow, TrafficMatrix};
     pub use specfaith_graph::costs::CostVector;
     pub use specfaith_graph::generators::{figure1, random_biconnected};

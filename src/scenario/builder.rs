@@ -1,12 +1,11 @@
 //! The scenario builder: declarative sources for topology, costs, and
 //! traffic, materialized into a [`Scenario`] at build time.
 
-use super::{EngineConfig, Mechanism, Scenario};
+use super::{Mechanism, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specfaith_core::id::NodeId;
-use specfaith_faithful::harness::FaithfulConfig;
-use specfaith_fpss::runner::{PlainConfig, ReferenceCheck};
+use specfaith_fpss::runner::{ConfigError, ReferenceCheck, RunConfig};
 use specfaith_fpss::settle::SettlementConfig;
 use specfaith_fpss::traffic::{Flow, TrafficMatrix};
 use specfaith_graph::costs::CostVector;
@@ -209,13 +208,13 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::NotBiconnected { nodes } => write!(
                 f,
-                "topology on {nodes} nodes is not biconnected; FPSS requires a biconnected \
-                 graph (stars never qualify — use a wheel for hub-and-spoke)"
+                "{} (stars never qualify — use a wheel for hub-and-spoke)",
+                ConfigError::NotBiconnected { nodes: *nodes }
             ),
-            ScenarioError::CostArityMismatch { nodes, costs } => write!(
-                f,
-                "cost vector has {costs} entries for a topology of {nodes} nodes"
-            ),
+            ScenarioError::CostArityMismatch { nodes, costs } => {
+                let (nodes, costs) = (*nodes, *costs);
+                ConfigError::CostArityMismatch { nodes, costs }.fmt(f)
+            }
             ScenarioError::TrafficOutOfRange { nodes, endpoint } => write!(
                 f,
                 "traffic endpoint {endpoint} is outside the {nodes}-node topology"
@@ -226,12 +225,23 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl From<ConfigError> for ScenarioError {
+    fn from(error: ConfigError) -> Self {
+        match error {
+            ConfigError::NotBiconnected { nodes } => ScenarioError::NotBiconnected { nodes },
+            ConfigError::CostArityMismatch { nodes, costs } => {
+                ScenarioError::CostArityMismatch { nodes, costs }
+            }
+        }
+    }
+}
+
 /// Builder for [`Scenario`]; see the [module docs](crate::scenario) for
 /// the full tour.
 ///
 /// Defaults: Figure 1 topology with its paper costs, X→Z traffic of 5
-/// packets, fixed 10 µs latency, the plain mechanism, and the engines'
-/// default settlement and event budgets.
+/// packets, fixed 10 µs latency, the plain mechanism, the default
+/// settlement, and the mechanism's default event budget.
 #[derive(Clone, Debug)]
 pub struct ScenarioBuilder {
     topology: TopologySource,
@@ -363,17 +373,17 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the settlement parameters used by **plain** runs. (Faithful
-    /// runs settle with the [`Mechanism::Faithful`] variant's embedded
-    /// settlement.)
+    /// Sets the settlement parameters (per-packet value `W`) of both
+    /// mechanisms.
     #[must_use]
     pub fn settlement(mut self, settlement: SettlementConfig) -> Self {
         self.settlement = settlement;
         self
     }
 
-    /// Overrides the simulator event budget (defaults to the engine's:
-    /// 5M events plain, 10M faithful).
+    /// Overrides the event budget of each simulator run (defaults to the
+    /// mechanism's: 5M events plain, 10M faithful; see
+    /// [`Overlay::DEFAULT_MAX_EVENTS`](specfaith_fpss::runner::Overlay::DEFAULT_MAX_EVENTS)).
     #[must_use]
     pub fn max_events(mut self, max_events: u64) -> Self {
         self.max_events = Some(max_events);
@@ -412,16 +422,10 @@ impl ScenarioBuilder {
         let mut rng = StdRng::seed_from_u64(self.instance_seed);
         let topo = self.topology.materialize(&mut rng);
         let n = topo.num_nodes();
-        if !topo.is_biconnected() {
-            return Err(ScenarioError::NotBiconnected { nodes: n });
-        }
         let costs = self.costs.materialize(&self.topology, n, &mut rng);
-        if costs.len() != n {
-            return Err(ScenarioError::CostArityMismatch {
-                nodes: n,
-                costs: costs.len(),
-            });
-        }
+        // The run config checks biconnectivity and cost arity, once; the
+        // traffic joins it after its endpoints are validated.
+        let mut config = RunConfig::try_new(topo, costs, TrafficMatrix::new())?;
         // Validate declared endpoints *before* materializing: the traffic
         // constructors assert in-range endpoints, and try_build's contract
         // is Err, not panic. (Generated models — UniformAllPairs, Random —
@@ -435,45 +439,14 @@ impl ScenarioBuilder {
         if let Some(&endpoint) = declared_endpoints.iter().find(|e| e.index() >= n) {
             return Err(ScenarioError::TrafficOutOfRange { nodes: n, endpoint });
         }
-        let traffic = self.traffic.materialize(n, &mut rng);
-
-        // Each scenario owns its route caches through the engine config's
-        // own scope; sweeps substitute a sweep-scoped registry on top.
-        let engine = match &self.mechanism {
-            Mechanism::Plain => {
-                let mut config = PlainConfig::new(topo, costs, traffic);
-                config.latency = self.latency;
-                config.network = self.network.clone();
-                config.dynamics = self.dynamics.clone();
-                config.settlement = self.settlement;
-                config.reference_check = self.reference_check;
-                if let Some(max_events) = self.max_events {
-                    config.max_events = max_events;
-                }
-                EngineConfig::Plain(config)
-            }
-            Mechanism::Faithful {
-                epsilon,
-                max_restarts,
-                progress_value,
-                settlement,
-            } => {
-                let mut config = FaithfulConfig::new(topo, costs, traffic);
-                config.latency = self.latency;
-                config.network = self.network.clone();
-                config.dynamics = self.dynamics.clone();
-                config.epsilon = *epsilon;
-                config.max_restarts = *max_restarts;
-                config.progress_value = *progress_value;
-                config.settlement = *settlement;
-                config.reference_check = self.reference_check;
-                if let Some(max_events) = self.max_events {
-                    config.max_events = max_events;
-                }
-                EngineConfig::Faithful(config)
-            }
-        };
-        Ok(Scenario::from_parts(engine, self.mechanism))
+        config.traffic = self.traffic.materialize(n, &mut rng);
+        config.latency = self.latency;
+        config.network = self.network;
+        config.dynamics = self.dynamics;
+        config.settlement = self.settlement;
+        config.max_events = self.max_events;
+        config.reference_check = self.reference_check;
+        Ok(Scenario::from_parts(config, self.mechanism))
     }
 
     /// Materializes and validates the scenario, panicking on invalid

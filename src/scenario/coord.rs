@@ -388,8 +388,8 @@ fn send_line(conn: &mut Conn, line: &str) -> io::Result<()> {
 pub struct GridManifest {
     /// Caller-chosen grid label (e.g. `"sweep-n64-i2004-s7-quick-ideal"`).
     pub instance: String,
-    /// Opaque hash of the scenario's topology, costs, traffic, and
-    /// mechanism — see [`SweepFragment::instance_fingerprint`].
+    /// Opaque hash of the scenario's run configuration and mechanism —
+    /// see [`SweepFragment::instance_fingerprint`].
     pub instance_fingerprint: String,
     /// The swept seeds, in sweep order.
     pub seeds: Vec<u64>,

@@ -58,11 +58,12 @@ pub use coord::{
     CoordOutcome, CoordStats, Coordinator, FaultPlan, Frame, GridManifest, WorkerConfig,
     WorkerError, WorkerStats, WorkerSummary, COORD_FORMAT,
 };
-pub use report::{MechanismOutcome, RunReport, SweepReport};
+pub use report::SweepReport;
 pub use shard::{
     FragmentCell, Json, MergeError, ShardSpec, ShardTiming, SweepFragment, FRAGMENT_FORMAT,
 };
-pub use specfaith_fpss::runner::ReferenceCheck;
+pub use specfaith_faithful::harness::Enforcement;
+pub use specfaith_fpss::runner::{ReferenceCheck, RunReport};
 pub use specfaith_graph::cache::CacheScope;
 pub use specfaith_netsim::{Dynamics, NetModel, TopologyEvent};
 pub use stream::{StreamEvent, StreamReport, StreamSession, StreamStatus};
@@ -70,13 +71,8 @@ pub use sweep::{cell_seed, Catalog};
 
 use specfaith_core::equilibrium::EquilibriumReport;
 use specfaith_core::id::NodeId;
-use specfaith_core::money::Money;
-use specfaith_faithful::harness as faithful_engine;
-use specfaith_faithful::harness::FaithfulConfig;
-use specfaith_fpss::deviation::RationalStrategy;
-use specfaith_fpss::runner as plain_engine;
-use specfaith_fpss::runner::PlainConfig;
-use specfaith_fpss::settle::SettlementConfig;
+use specfaith_fpss::deviation::{Faithful, RationalStrategy};
+use specfaith_fpss::runner::{self, Plain, RunConfig};
 use specfaith_fpss::traffic::TrafficMatrix;
 use specfaith_graph::costs::CostVector;
 use specfaith_graph::topology::Topology;
@@ -86,47 +82,37 @@ use specfaith_graph::topology::Topology;
 pub enum Mechanism {
     /// FPSS as published: VCG pricing makes cost *misreports* useless, but
     /// nothing polices computation or message passing — §4.3's
-    /// manipulations are profitable. Plain runs settle with the
-    /// builder-level [`ScenarioBuilder::settlement`] parameters.
+    /// manipulations are profitable.
     Plain,
     /// The paper's faithful extension: checker mirrors, bank checkpoints,
-    /// restart-then-halt, and ε-above penalties.
-    Faithful {
-        /// The ε margin added on top of clawed-back gains when penalizing.
-        epsilon: Money,
-        /// Construction restarts the bank grants before halting.
-        max_restarts: u32,
-        /// The progress value `V` every node forfeits on a halt.
-        progress_value: Money,
-        /// Settlement parameters (per-packet value `W`) for faithful
-        /// runs; overrides the builder-level settlement.
-        settlement: SettlementConfig,
-    },
+    /// restart-then-halt, and ε-above penalties, with these parameters.
+    Faithful(Enforcement),
 }
 
 impl Mechanism {
-    /// The faithful mechanism with the engine's default enforcement
-    /// parameters (ε = 1, 2 restarts, V = 1,000,000, default settlement).
+    /// The faithful mechanism with the default enforcement parameters
+    /// (ε = 1, 2 restarts, V = 1,000,000).
     pub fn faithful() -> Self {
-        Mechanism::Faithful {
-            epsilon: Money::new(1),
-            max_restarts: 2,
-            progress_value: Money::new(1_000_000),
-            settlement: SettlementConfig::default(),
-        }
+        Mechanism::Faithful(Enforcement::default())
     }
 
     /// Whether this is the faithful mechanism.
     pub fn is_faithful(&self) -> bool {
-        matches!(self, Mechanism::Faithful { .. })
+        matches!(self, Mechanism::Faithful(_))
     }
-}
 
-/// The materialized engine configuration behind a scenario.
-#[derive(Clone, Debug)]
-pub(crate) enum EngineConfig {
-    Plain(PlainConfig),
-    Faithful(FaithfulConfig),
+    /// Runs `config` under this mechanism: where a run picks its overlay.
+    fn run(
+        &self,
+        config: &RunConfig,
+        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
+        seed: u64,
+    ) -> RunReport {
+        match self {
+            Mechanism::Plain => runner::run(config, Plain, strategies, seed),
+            Mechanism::Faithful(enforcement) => runner::run(config, *enforcement, strategies, seed),
+        }
+    }
 }
 
 /// A fully materialized simulation instance: topology, costs, traffic,
@@ -139,7 +125,7 @@ pub(crate) enum EngineConfig {
 /// across run seeds, deviants, and mechanisms.
 #[derive(Clone, Debug)]
 pub struct Scenario {
-    engine: EngineConfig,
+    config: RunConfig,
     mechanism: Mechanism,
 }
 
@@ -149,8 +135,13 @@ impl Scenario {
         ScenarioBuilder::new()
     }
 
-    pub(crate) fn from_parts(engine: EngineConfig, mechanism: Mechanism) -> Self {
-        Scenario { engine, mechanism }
+    pub(crate) fn from_parts(config: RunConfig, mechanism: Mechanism) -> Self {
+        Scenario { config, mechanism }
+    }
+
+    /// The run configuration behind this scenario.
+    pub(crate) fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// This scenario with its route caches drawn from `scope` instead —
@@ -159,43 +150,28 @@ impl Scenario {
     /// cell.
     pub fn with_route_scope(&self, scope: CacheScope) -> Scenario {
         let mut scenario = self.clone();
-        match &mut scenario.engine {
-            EngineConfig::Plain(c) => c.routes = scope,
-            EngineConfig::Faithful(c) => c.routes = scope,
-        }
+        scenario.config.routes = scope;
         scenario
     }
 
     /// The route-cache scope this scenario's runs draw from.
     pub fn route_scope(&self) -> &CacheScope {
-        match &self.engine {
-            EngineConfig::Plain(c) => &c.routes,
-            EngineConfig::Faithful(c) => &c.routes,
-        }
+        &self.config.routes
     }
 
     /// The topology.
     pub fn topology(&self) -> &Topology {
-        match &self.engine {
-            EngineConfig::Plain(c) => &c.topo,
-            EngineConfig::Faithful(c) => &c.topo,
-        }
+        &self.config.topo
     }
 
     /// True per-node transit costs.
     pub fn costs(&self) -> &CostVector {
-        match &self.engine {
-            EngineConfig::Plain(c) => &c.true_costs,
-            EngineConfig::Faithful(c) => &c.true_costs,
-        }
+        &self.config.true_costs
     }
 
     /// The execution-phase traffic.
     pub fn traffic(&self) -> &TrafficMatrix {
-        match &self.engine {
-            EngineConfig::Plain(c) => &c.traffic,
-            EngineConfig::Faithful(c) => &c.traffic,
-        }
+        &self.config.traffic
     }
 
     /// The mechanism this scenario runs.
@@ -210,14 +186,7 @@ impl Scenario {
 
     /// Runs the scenario with every node faithful.
     pub fn run(&self, seed: u64) -> RunReport {
-        match &self.engine {
-            EngineConfig::Plain(c) => {
-                RunReport::from_plain(plain_engine::run_plain_faithful(c, seed))
-            }
-            EngineConfig::Faithful(c) => {
-                RunReport::from_faithful(faithful_engine::run_faithful_honest(c, seed))
-            }
-        }
+        self.run_with(|_| Box::new(Faithful), seed)
     }
 
     /// Runs with `deviant` playing `strategy` and everyone else faithful.
@@ -227,14 +196,17 @@ impl Scenario {
         strategy: Box<dyn RationalStrategy>,
         seed: u64,
     ) -> RunReport {
-        match &self.engine {
-            EngineConfig::Plain(c) => RunReport::from_plain(plain_engine::run_plain_with_deviant(
-                c, deviant, strategy, seed,
-            )),
-            EngineConfig::Faithful(c) => RunReport::from_faithful(
-                faithful_engine::run_faithful_with_deviant(c, deviant, strategy, seed),
-            ),
-        }
+        let mut strategy = Some(strategy);
+        self.run_with(
+            move |node| {
+                if node == deviant {
+                    strategy.take().expect("deviant strategy used once")
+                } else {
+                    Box::new(Faithful)
+                }
+            },
+            seed,
+        )
     }
 
     /// Runs with an arbitrary per-node strategy assignment.
@@ -243,14 +215,7 @@ impl Scenario {
         strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
         seed: u64,
     ) -> RunReport {
-        match &self.engine {
-            EngineConfig::Plain(c) => {
-                RunReport::from_plain(plain_engine::run_plain(c, strategies, seed))
-            }
-            EngineConfig::Faithful(c) => {
-                RunReport::from_faithful(faithful_engine::run_faithful(c, strategies, seed))
-            }
-        }
+        self.mechanism.run(&self.config, strategies, seed)
     }
 
     /// The single-seed equilibrium report over `catalog`: the faithful
@@ -325,15 +290,7 @@ impl Scenario {
     ///
     /// Panics if an agent index is out of range or listed twice.
     pub fn sweep_sampled(&self, seeds: &[u64], catalog: &Catalog, agents: &[usize]) -> SweepReport {
-        let n = self.num_nodes();
-        assert!(
-            agents.iter().all(|&agent| agent < n),
-            "sampled agents must be topology indices"
-        );
-        assert!(
-            (1..agents.len()).all(|i| !agents[..i].contains(&agents[i])),
-            "sampled agents must be distinct"
-        );
+        self.assert_agents(agents);
         sweep::sweep_agents(
             &self.with_route_scope(CacheScope::eager()),
             seeds,
@@ -366,14 +323,7 @@ impl Scenario {
         instance: &str,
     ) -> SweepFragment {
         let agents: Vec<usize> = (0..self.num_nodes()).collect();
-        shard::run_shard(
-            &self.with_route_scope(CacheScope::eager()),
-            seeds,
-            catalog,
-            &agents,
-            shard,
-            instance,
-        )
+        self.sweep_shard_sampled(seeds, catalog, &agents, shard, instance)
     }
 
     /// [`Scenario::sweep_shard`] restricted to deviations by `agents` —
@@ -391,15 +341,7 @@ impl Scenario {
         shard: ShardSpec,
         instance: &str,
     ) -> SweepFragment {
-        let n = self.num_nodes();
-        assert!(
-            agents.iter().all(|&agent| agent < n),
-            "sampled agents must be topology indices"
-        );
-        assert!(
-            (1..agents.len()).all(|i| !agents[..i].contains(&agents[i])),
-            "sampled agents must be distinct"
-        );
+        self.assert_agents(agents);
         shard::run_shard(
             &self.with_route_scope(CacheScope::eager()),
             seeds,
@@ -409,11 +351,25 @@ impl Scenario {
             instance,
         )
     }
+
+    /// Panics unless `agents` are distinct topology indices.
+    fn assert_agents(&self, agents: &[usize]) {
+        let n = self.num_nodes();
+        assert!(
+            agents.iter().all(|&agent| agent < n),
+            "sampled agents must be topology indices"
+        );
+        assert!(
+            (1..agents.len()).all(|i| !agents[..i].contains(&agents[i])),
+            "sampled agents must be distinct"
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specfaith_core::money::Money;
 
     #[test]
     fn runs_share_the_pinned_true_cost_cache_and_seed_misreports_from_it() {
@@ -438,12 +394,11 @@ mod tests {
 
     #[test]
     fn mechanism_default_constructor_matches_engine_defaults() {
-        let Mechanism::Faithful {
+        let Mechanism::Faithful(Enforcement {
             epsilon,
             max_restarts,
             progress_value,
-            ..
-        } = Mechanism::faithful()
+        }) = Mechanism::faithful()
         else {
             panic!("faithful() must build the Faithful variant");
         };

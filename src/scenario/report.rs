@@ -1,172 +1,9 @@
-//! Unified run and sweep reports.
+//! Sweep reports. A single run reports in
+//! [`RunReport`](specfaith_fpss::runner::RunReport), which the scenario
+//! module re-exports.
 
 use specfaith_core::equilibrium::{DeviationOutcome, EquilibriumReport, EquilibriumSuite};
-use specfaith_core::money::Money;
-use specfaith_faithful::harness::FaithfulRunResult;
-use specfaith_fpss::runner::PlainRunResult;
-use specfaith_netsim::{NetStats, SimTime};
 use std::fmt;
-
-/// Mechanism-specific outcome detail inside a [`RunReport`].
-#[derive(Clone, Debug)]
-pub enum MechanismOutcome {
-    /// A plain-FPSS run.
-    Plain {
-        /// Whether every node's converged tables equal the centralized
-        /// VCG reference under the declared costs.
-        tables_match_centralized: bool,
-    },
-    /// A faithful-mechanism run.
-    Faithful {
-        /// Whether construction was certified and execution ran.
-        green_lighted: bool,
-        /// Whether the mechanism halted (restart budget exhausted).
-        halted: bool,
-        /// Construction restarts performed by the bank.
-        restarts: u32,
-        /// Penalties charged per node.
-        penalties: Vec<Money>,
-        /// Whether the certified tables equal the centralized VCG
-        /// reference (`None` when the mechanism halted before
-        /// certifying).
-        tables_match_centralized: Option<bool>,
-    },
-}
-
-/// Result of one scenario run, for either mechanism.
-///
-/// The common fields (`utilities`, `detected`, `stats`, `truncated`) are
-/// directly comparable across mechanisms — that is what the examples'
-/// plain-vs-faithful contrasts rely on. Mechanism-specific detail lives
-/// in [`RunReport::outcome`], with panic-free accessors for the usual
-/// questions.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Realized utility per topology node.
-    pub utilities: Vec<Money>,
-    /// Whether anything flagged the run. For the faithful mechanism this
-    /// is real enforcement (restarts, halt, penalties, MAC failures); for
-    /// plain FPSS it means the converged tables visibly diverged from the
-    /// centralized reference (observable, but nobody acts on it — the
-    /// paper's point).
-    pub detected: bool,
-    /// Simulator traffic statistics for the whole lifecycle.
-    pub stats: NetStats,
-    /// Virtual time at which the run settled — the basis for detection-
-    /// latency comparisons across network models.
-    pub final_time: SimTime,
-    /// Whether the event budget truncated the run.
-    pub truncated: bool,
-    /// Mechanism-specific detail.
-    pub outcome: MechanismOutcome,
-}
-
-impl RunReport {
-    pub(crate) fn from_plain(run: PlainRunResult) -> Self {
-        RunReport {
-            utilities: run.utilities,
-            detected: !run.tables_match_centralized,
-            stats: run.stats,
-            final_time: run.final_time,
-            truncated: run.truncated,
-            outcome: MechanismOutcome::Plain {
-                tables_match_centralized: run.tables_match_centralized,
-            },
-        }
-    }
-
-    pub(crate) fn from_faithful(run: FaithfulRunResult) -> Self {
-        RunReport {
-            utilities: run.utilities,
-            detected: run.detected,
-            stats: run.stats,
-            final_time: run.final_time,
-            truncated: run.truncated,
-            outcome: MechanismOutcome::Faithful {
-                green_lighted: run.green_lighted,
-                halted: run.halted,
-                restarts: run.restarts,
-                penalties: run.penalties,
-                tables_match_centralized: run.tables_match_centralized,
-            },
-        }
-    }
-
-    /// Whether execution was reached: the bank's green light for faithful
-    /// runs, always `true` for plain runs (plain FPSS has no gate).
-    pub fn green_lighted(&self) -> bool {
-        match &self.outcome {
-            MechanismOutcome::Plain { .. } => true,
-            MechanismOutcome::Faithful { green_lighted, .. } => *green_lighted,
-        }
-    }
-
-    /// Whether the mechanism halted. Always `false` for plain runs.
-    pub fn halted(&self) -> bool {
-        match &self.outcome {
-            MechanismOutcome::Plain { .. } => false,
-            MechanismOutcome::Faithful { halted, .. } => *halted,
-        }
-    }
-
-    /// Construction restarts. Always `0` for plain runs.
-    pub fn restarts(&self) -> u32 {
-        match &self.outcome {
-            MechanismOutcome::Plain { .. } => 0,
-            MechanismOutcome::Faithful { restarts, .. } => *restarts,
-        }
-    }
-
-    /// Penalties charged per node. Empty for plain runs (plain FPSS never
-    /// charges penalties).
-    pub fn penalties(&self) -> &[Money] {
-        match &self.outcome {
-            MechanismOutcome::Plain { .. } => &[],
-            MechanismOutcome::Faithful { penalties, .. } => penalties,
-        }
-    }
-
-    /// Total messages delivered.
-    pub fn delivered(&self) -> u64 {
-        self.stats.msgs_delivered
-    }
-
-    /// Messages lost to the network model or dynamics (loss, downed
-    /// nodes, partitions). Zero under
-    /// [`NetModel::Ideal`](specfaith_netsim::NetModel::Ideal) with no
-    /// dynamics.
-    pub fn dropped(&self) -> u64 {
-        self.stats.msgs_dropped
-    }
-
-    /// In-flight deliveries re-scheduled by a throughput model reacting
-    /// to load changes (`SharedThroughput` only).
-    pub fn rescheduled(&self) -> u64 {
-        self.stats.deliveries_rescheduled
-    }
-
-    /// High-water mark of simultaneous in-flight work in the simulator's
-    /// event queue.
-    pub fn max_queue_depth(&self) -> u64 {
-        self.stats.max_queue_depth
-    }
-
-    /// Whether converged tables matched the centralized reference:
-    /// `Some(_)` for plain runs and for faithful runs that green-lighted;
-    /// `None` for faithful runs that halted before certifying any tables
-    /// (where the bank's hash checkpoints already flagged the run).
-    pub fn tables_match_centralized(&self) -> Option<bool> {
-        match &self.outcome {
-            MechanismOutcome::Plain {
-                tables_match_centralized,
-            } => Some(*tables_match_centralized),
-            MechanismOutcome::Faithful {
-                tables_match_centralized,
-                ..
-            } => *tables_match_centralized,
-        }
-    }
-}
 
 /// The result of a [`Scenario::sweep`](super::Scenario::sweep): one
 /// [`EquilibriumReport`] per seed, in the caller's seed order.

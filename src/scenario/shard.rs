@@ -186,9 +186,11 @@ pub struct SweepFragment {
     /// Caller-chosen grid label (e.g. `"sweep-n64-quick-ideal"`). Must
     /// agree across merged fragments.
     pub instance: String,
-    /// Opaque hash of the scenario's topology, true costs, traffic, and
-    /// mechanism — a second line of defense against merging fragments
-    /// from different instances that happen to share a label.
+    /// Opaque hash of the scenario's run configuration (topology, true
+    /// costs, traffic, latency, network, dynamics, settlement, event
+    /// budget, reference check) and mechanism — a second line of defense
+    /// against merging fragments from different instances that happen to
+    /// share a label.
     pub instance_fingerprint: String,
     /// The swept seeds, in sweep order.
     pub seeds: Vec<u64>,
@@ -724,15 +726,25 @@ pub(super) fn run_shard(
     }
 }
 
-/// An opaque identity hash of the scenario's instance (topology, true
-/// costs, traffic, mechanism) — merge-conflict detection only, not a
-/// stable cross-version format.
+/// An opaque identity hash of the scenario's instance: every field of its
+/// run configuration but the route-cache scope (whose `Debug` prints live
+/// hit and miss counts), plus the mechanism. Merge-conflict detection
+/// only, not a stable cross-version format. The hashed text is the same
+/// in every process: these types' `Debug` output is built from `Vec`s and
+/// enums, with no hash maps.
 pub(crate) fn instance_fingerprint(scenario: &Scenario) -> String {
+    let config = scenario.config();
     let description = format!(
-        "{:?}|{:?}|{:?}|{:?}",
-        scenario.topology(),
-        scenario.costs(),
-        scenario.traffic(),
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        config.topo,
+        config.true_costs,
+        config.traffic,
+        config.latency,
+        config.network,
+        config.dynamics,
+        config.settlement,
+        config.max_events,
+        config.reference_check,
         scenario.mechanism()
     );
     format!("fnv1a64:{:016x}", fnv1a64(description.as_bytes()))

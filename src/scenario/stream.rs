@@ -24,11 +24,10 @@
 //! and drive the [`StreamSession`] directly.
 
 use super::shard::fnv1a64;
-use super::{EngineConfig, RunReport, Scenario};
+use super::{Mechanism, RunReport, Scenario};
 use specfaith_crypto::sha256::Digest;
-use specfaith_faithful::harness::{FaithfulEventStatus, FaithfulRunState};
-use specfaith_fpss::deviation::Faithful;
-use specfaith_fpss::runner::{EventStatus, PlainRunState};
+use specfaith_fpss::deviation::{Faithful, RationalStrategy};
+use specfaith_fpss::runner::{EventOutcome, EventStatus, Overlay, Plain, RunState};
 use specfaith_graph::cache::CacheScope;
 use specfaith_graph::costs::CostVector;
 use specfaith_netsim::TopologyEvent;
@@ -43,8 +42,8 @@ pub enum StreamStatus {
     /// state to re-converge.
     LatencyOnly,
     /// Refused without touching the fixed point (unknown node, node
-    /// already in that state, or a removal that would break
-    /// biconnectivity).
+    /// already in that state, a removal that would break biconnectivity,
+    /// or a halted faithful bank).
     Rejected,
     /// Refused because the event class is outside the mechanism's
     /// streaming contract: partitions/heals under either mechanism, and
@@ -59,21 +58,10 @@ impl From<EventStatus> for StreamStatus {
         match status {
             EventStatus::Applied => StreamStatus::Applied,
             EventStatus::LatencyOnly => StreamStatus::LatencyOnly,
-            EventStatus::RejectedDown | EventStatus::RejectedNotBiconnected => {
-                StreamStatus::Rejected
-            }
-            EventStatus::Unsupported => StreamStatus::Unsupported,
-        }
-    }
-}
-
-impl From<FaithfulEventStatus> for StreamStatus {
-    fn from(status: FaithfulEventStatus) -> Self {
-        match status {
-            FaithfulEventStatus::Applied => StreamStatus::Applied,
-            FaithfulEventStatus::LatencyOnly => StreamStatus::LatencyOnly,
-            FaithfulEventStatus::Rejected => StreamStatus::Rejected,
-            FaithfulEventStatus::LivenessHole => StreamStatus::Unsupported,
+            EventStatus::RejectedDown
+            | EventStatus::RejectedHalted
+            | EventStatus::RejectedNotBiconnected => StreamStatus::Rejected,
+            EventStatus::Unsupported | EventStatus::LivenessHole => StreamStatus::Unsupported,
         }
     }
 }
@@ -180,47 +168,44 @@ impl fmt::Display for StreamReport {
 /// topology events. Created by [`Scenario::stream_session`]; consumed by
 /// [`StreamSession::finish`].
 pub struct StreamSession {
-    engine: StreamEngine,
+    state: Box<dyn Session>,
 }
 
-enum StreamEngine {
-    Plain(PlainRunState),
-    Faithful(FaithfulRunState),
+/// The live run behind a [`StreamSession`], whichever overlay it carries.
+trait Session {
+    fn apply_event(&mut self, event: &TopologyEvent) -> EventOutcome;
+    fn table_digests(&self) -> Vec<(Digest, Digest, Digest)>;
+    fn declared(&self) -> &CostVector;
+    fn finish(self: Box<Self>) -> RunReport;
+}
+
+impl<O: Overlay> Session for RunState<O> {
+    fn apply_event(&mut self, event: &TopologyEvent) -> EventOutcome {
+        RunState::apply_event(self, event)
+    }
+    fn table_digests(&self) -> Vec<(Digest, Digest, Digest)> {
+        RunState::table_digests(self)
+    }
+    fn declared(&self) -> &CostVector {
+        RunState::declared(self)
+    }
+    fn finish(self: Box<Self>) -> RunReport {
+        RunState::finish(*self)
+    }
 }
 
 impl StreamSession {
     /// Streams one event against the current fixed point and returns its
     /// convergence record.
     pub fn apply_event(&mut self, event: &TopologyEvent) -> StreamEvent {
-        let (status, messages, micros, rounds, verified) = match &mut self.engine {
-            StreamEngine::Plain(state) => {
-                let o = state.apply_event(event);
-                (
-                    StreamStatus::from(o.status),
-                    o.messages,
-                    o.micros,
-                    o.rounds,
-                    o.reference_ok,
-                )
-            }
-            StreamEngine::Faithful(state) => {
-                let o = state.apply_event(event);
-                (
-                    StreamStatus::from(o.status),
-                    o.messages,
-                    o.micros,
-                    o.rounds,
-                    o.recertified,
-                )
-            }
-        };
+        let outcome = self.state.apply_event(event);
         StreamEvent {
             event: event.clone(),
-            status,
-            messages,
-            micros,
-            rounds,
-            verified,
+            status: outcome.status.into(),
+            messages: outcome.messages,
+            micros: outcome.micros,
+            rounds: outcome.rounds,
+            verified: outcome.verified,
             tables_fingerprint: self.tables_fingerprint(),
         }
     }
@@ -230,10 +215,7 @@ impl StreamSession {
     /// digests are of the purged tables the live network no longer
     /// routes through.
     pub fn table_digests(&self) -> Vec<(Digest, Digest, Digest)> {
-        match &self.engine {
-            StreamEngine::Plain(state) => state.table_digests(),
-            StreamEngine::Faithful(state) => state.table_digests(),
-        }
+        self.state.table_digests()
     }
 
     /// `fnv1a64:`-prefixed fingerprint over every node's table digests —
@@ -245,20 +227,14 @@ impl StreamSession {
 
     /// The declared cost vector at the current fixed point.
     pub fn declared(&self) -> &CostVector {
-        match &self.engine {
-            StreamEngine::Plain(state) => state.declared(),
-            StreamEngine::Faithful(state) => state.declared(),
-        }
+        self.state.declared()
     }
 
     /// Releases execution: queues the scenario's traffic against the
     /// final tables (the faithful bank green-lights from its held
     /// certification), runs it, and settles.
     pub fn finish(self) -> RunReport {
-        match self.engine {
-            StreamEngine::Plain(state) => RunReport::from_plain(state.finish()),
-            StreamEngine::Faithful(state) => RunReport::from_faithful(state.finish()),
-        }
+        self.state.finish()
     }
 }
 
@@ -284,18 +260,16 @@ impl Scenario {
     /// a cold rebuild, and superseded generations are dropped as the
     /// pin rolls forward.
     pub fn stream_session(&self, seed: u64) -> StreamSession {
-        let scenario = self.with_route_scope(CacheScope::eager());
-        let engine = match &scenario.engine {
-            EngineConfig::Plain(c) => {
-                StreamEngine::Plain(PlainRunState::checkpoint(c, |_| Box::new(Faithful), seed))
+        let mut config = self.config().clone();
+        config.routes = CacheScope::eager();
+        let honest = |_| Box::new(Faithful) as Box<dyn RationalStrategy>;
+        let state: Box<dyn Session> = match self.mechanism() {
+            Mechanism::Plain => Box::new(RunState::checkpoint(&config, Plain, honest, seed)),
+            Mechanism::Faithful(enforcement) => {
+                Box::new(RunState::checkpoint(&config, *enforcement, honest, seed))
             }
-            EngineConfig::Faithful(c) => StreamEngine::Faithful(FaithfulRunState::checkpoint(
-                c,
-                |_| Box::new(Faithful),
-                seed,
-            )),
         };
-        StreamSession { engine }
+        StreamSession { state }
     }
 
     /// Streaming service mode: checkpoint at the converged fixed point,

@@ -33,12 +33,15 @@ use std::time::Duration;
 const INSTANCE: &str = "itest-coord";
 const SEEDS: [u64; 2] = [11, 12];
 
-fn figure1_scenario() -> Scenario {
+fn figure1_builder() -> ScenarioBuilder {
     Scenario::builder()
         .topology(TopologySource::Figure1)
         .traffic(TrafficModel::single_by_index(5, 4, 4))
         .mechanism(Mechanism::faithful())
-        .build()
+}
+
+fn figure1_scenario() -> Scenario {
+    figure1_builder().build()
 }
 
 /// The first two standard deviations — a 24-cell grid over two seeds:
@@ -302,20 +305,28 @@ fn mismatched_manifest_worker_is_rejected_while_the_run_completes() {
     let listener =
         CoordListener::bind(&CoordAddr::parse("tcp:127.0.0.1:0").expect("addr")).expect("bind");
     let addr = listener.local_addr().clone();
-    let imposter = {
-        let scenario = scenario.clone();
-        let addr = addr.clone();
-        thread::spawn(move || {
-            run_worker(
-                &scenario,
-                &SEEDS,
-                &small_catalog(),
-                "imposter-grid",
-                &addr,
-                WorkerConfig::named("imposter"),
-            )
+    // One imposter names another grid. The other names this grid but
+    // simulates it under another network model, which only the instance
+    // fingerprint tells apart.
+    let congested = figure1_builder()
+        .network(NetModel::constant(NetModel::PRESET_CONGESTED_BPS))
+        .build();
+    let imposters: Vec<_> = [(scenario.clone(), "imposter-grid"), (congested, INSTANCE)]
+        .into_iter()
+        .map(|(scenario, label)| {
+            let addr = addr.clone();
+            thread::spawn(move || {
+                run_worker(
+                    &scenario,
+                    &SEEDS,
+                    &small_catalog(),
+                    label,
+                    &addr,
+                    WorkerConfig::named("imposter"),
+                )
+            })
         })
-    };
+        .collect();
     let good = {
         let scenario = scenario.clone();
         let addr = addr.clone();
@@ -332,13 +343,16 @@ fn mismatched_manifest_worker_is_rejected_while_the_run_completes() {
     };
     let outcome = coordinator.serve(listener).expect("run completes");
     assert_identical(&outcome, &monolithic());
-    assert!(
-        matches!(
-            imposter.join().expect("imposter thread"),
-            Err(WorkerError::Rejected(_))
-        ),
-        "the mismatched worker must be rejected"
-    );
+    for (imposter, field) in imposters
+        .into_iter()
+        .zip(["instance", "instance_fingerprint"])
+    {
+        let joined = imposter.join().expect("imposter thread");
+        assert!(
+            matches!(&joined, Err(WorkerError::Rejected(reason)) if reason.starts_with(field)),
+            "the mismatched worker must be rejected on its {field}: {joined:?}"
+        );
+    }
     good.join()
         .expect("good thread")
         .expect("good worker succeeds");

@@ -63,12 +63,11 @@ fn scenario_with(max_restarts: u32) -> (specfaith::graph::generators::Figure1, S
             dst: net.z,
             packets: 4,
         })
-        .mechanism(Mechanism::Faithful {
+        .mechanism(Mechanism::Faithful(Enforcement {
             epsilon: Money::new(1),
             max_restarts,
             progress_value: Money::new(1_000_000),
-            settlement: Default::default(),
-        })
+        }))
         .build();
     (net, scenario)
 }

@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 use specfaith::fpss::deviation::standard_catalog;
+use specfaith::netsim::Latency;
 use specfaith::prelude::*;
 use specfaith::scenario::Catalog;
 
@@ -42,12 +43,15 @@ proptest! {
     }
 }
 
-fn figure1_scenario() -> Scenario {
+fn figure1_builder() -> ScenarioBuilder {
     Scenario::builder()
         .topology(TopologySource::Figure1)
         .traffic(TrafficModel::single_by_index(5, 4, 4))
         .mechanism(Mechanism::faithful())
-        .build()
+}
+
+fn figure1_scenario() -> Scenario {
+    figure1_builder().build()
 }
 
 /// The first two standard deviations — enough grid to shard, cheap
@@ -160,6 +164,36 @@ fn merge_rejects_incomplete_and_mismatched_shard_sets() {
         SweepFragment::merge(&[half0.clone(), foreign]),
         Err(MergeError::ManifestMismatch { .. })
     ));
+    // Same label, graph, costs and traffic, simulated differently: the
+    // instance fingerprint covers the whole run configuration.
+    for (what, variant) in [
+        (
+            "network model",
+            figure1_builder().network(NetModel::constant(NetModel::PRESET_CONGESTED_BPS)),
+        ),
+        (
+            "latency",
+            figure1_builder().latency(Latency::jittered(10, 7)),
+        ),
+        (
+            "reference check",
+            figure1_builder().reference_check(ReferenceCheck::Sampled { sources: 3 }),
+        ),
+    ] {
+        let other = variant
+            .build()
+            .sweep_shard(&seeds, &catalog, ShardSpec::new(1, 2), "itest-a");
+        let merged = SweepFragment::merge(&[half0.clone(), other]);
+        assert!(
+            matches!(
+                &merged,
+                Err(MergeError::ManifestMismatch { detail })
+                    if detail.starts_with("instance_fingerprint")
+            ),
+            "shards differing only in {what} must not merge: {:?}",
+            merged.map(|report| report.fingerprint())
+        );
+    }
 
     // Order-insensitive: the complete set merges regardless of argument
     // order.
