@@ -407,13 +407,12 @@ mod tests {
 
     #[test]
     fn safe_deviants_take_the_incremental_path_byte_identically() {
-        // The deviant-node recompute satellite: strategies whose
-        // computation hooks are the identity declare destination-scoped
-        // safety and ride the incremental path — observationally
-        // indistinguishable (same utilities, penalties, detection, message
-        // counts and reference agreement) from the same strategy forced
-        // onto the full-table recompute, under plain FPSS and under the
-        // full enforcement stack.
+        // Deviant-node recompute: strategies whose computation hooks are
+        // the identity declare destination-scoped safety and ride the
+        // incremental path — observationally indistinguishable (same
+        // utilities, penalties, detection, message counts and reference
+        // agreement) from the same strategy forced onto the full-table
+        // recompute, under plain FPSS and under the full enforcement stack.
         let (net, config) = plain_figure1_config();
         type StrategyFactory = Box<dyn Fn() -> Box<dyn RationalStrategy>>;
         let cases: Vec<(StrategyFactory, &str)> = vec![
